@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .data import (
     FormatError,
     PerturbationSpec,
     build_dataset,
+    build_split,
     gen_original,
     load_manifest,
     perturb,
@@ -62,7 +62,7 @@ from .tensor import (
     take,
     transpose,
 )
-from .train import cross_entropy, evaluate, fake_score, train
+from .train import cross_entropy, evaluate, fake_score, score_samples, train
 from .weights import WeightsError, load_weights, save_weights
 
 EXIT_OK = 0
@@ -106,22 +106,6 @@ def _load_params(cfg: RunConfig) -> ModelParams:
         return ModelParams.from_arrays(cfg.model, arrays, requires_grad=False)
     except ValueError as exc:
         raise WeightsError(f"{path}: {exc}") from None
-
-
-def _score_all(params: ModelParams, samples, cfg: RunConfig) -> list[ScoredSample]:
-    """Eval-mode inference, fanned out over worker threads. Weights are
-    immutable and eval-mode forward records nothing, so threads share them
-    freely; results keep manifest order."""
-
-    def one(sample) -> ScoredSample:
-        logits, _ = forward(sample.pixels, params, cfg.model)
-        return ScoredSample(fake_score(logits), sample.label, sample.video_id)
-
-    workers = min(8, os.cpu_count() or 1)
-    if workers < 2 or len(samples) < 16:
-        return [one(s) for s in samples]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(one, samples))
 
 
 def _report_row(cfg: RunConfig, scored: list[ScoredSample], *, split: str,
@@ -183,14 +167,14 @@ def _perturbed_rows(cfg: RunConfig, params: ModelParams,
     """Clean reference, each kind at the configured level, then the three
     mixed suites (random kind / random kind+level / three kinds composed).
     Level 0 turns every row into the identity for A/B comparison."""
-    rows = [_report_row(cfg, _score_all(params, base, cfg), split=split,
+    rows = [_report_row(cfg, score_samples(params, base, cfg.model), split=split,
                         family=family, perturbation="none", level=0)]
 
     def scored_under(spec_for, salt: int) -> list[ScoredSample]:
         perturbed = [replace(s, pixels=perturb(s.pixels, spec_for(i),
                                                cfg.data.seed * 1_000_003 + salt * 9_973 + i))
                      for i, s in enumerate(base)]
-        return _score_all(params, perturbed, cfg)
+        return score_samples(params, perturbed, cfg.model)
 
     for salt, kind in enumerate(PERTURBATION_KINDS, start=1):
         rows.append(_report_row(
@@ -221,8 +205,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         # split, regenerated in memory from the same spec; only those rows
         # go in the report.
         other = _OTHER_FAMILY[cfg.data.family]
-        foreign = build_dataset(replace(cfg.data, family=other))
-        scored = _score_all(params, foreign.test, cfg)
+        foreign = build_split(replace(cfg.data, family=other), "test")
+        scored = score_samples(params, foreign, cfg.model)
         rows = [_report_row(cfg, scored, split="test", family=other,
                             perturbation="none", level=0)]
     else:
@@ -230,7 +214,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         base = splits.split(cfg.split)
         family = base[0].family if base else cfg.data.family
         if cfg.protocol == "in_dist":
-            scored = _score_all(params, base, cfg)
+            scored = score_samples(params, base, cfg.model)
             rows = [_report_row(cfg, scored, split=cfg.split, family=family,
                                 perturbation="none", level=0)]
         else:

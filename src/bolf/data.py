@@ -350,9 +350,14 @@ class DatasetSplits:
         return getattr(self, name)
 
 
-def _build_split(spec: DatasetSpec, split: str, count: int) -> list[ImageSample]:
+def build_split(spec: DatasetSpec, split: str) -> list[ImageSample]:
+    """Generate one split ("train", "val" or "test") of the dataset
+    build_dataset would make; each split depends only on the spec and its
+    name."""
+    if split not in ("train", "val", "test"):
+        raise ValueError(f"unknown split {split!r}")
     samples: list[ImageSample] = []
-    n_orig = count // 2
+    n_orig = getattr(spec, f"{split}_count") // 2
     produced = 0
     vid = 0
     while produced < n_orig:
@@ -376,9 +381,9 @@ def build_dataset(spec: DatasetSpec) -> DatasetSplits:
     """
     return DatasetSplits(
         spec=spec,
-        train=_build_split(spec, "train", spec.train_count),
-        val=_build_split(spec, "val", spec.val_count),
-        test=_build_split(spec, "test", spec.test_count))
+        train=build_split(spec, "train"),
+        val=build_split(spec, "val"),
+        test=build_split(spec, "test"))
 
 
 # ---------------------------------------------------------------------------

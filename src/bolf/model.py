@@ -87,7 +87,7 @@ class ModelConfig:
 class PatchBag:
     """The patch matrix plus the grid geometry needed to invert it."""
 
-    patches: Tensor  # (num_patches, patch_len), row-major over the grid
+    patches: Tensor  # ([batch,] num_patches, patch_len), row-major over the grid
     grid_rows: int
     grid_cols: int
     patch_size: int
@@ -95,20 +95,22 @@ class PatchBag:
 
 
 def patchify(image, config: ModelConfig) -> PatchBag:
-    """Cut an image into non-overlapping patch_size tiles, row-major.
+    """Cut an image, or each image of a (batch, h, w, c) stack, into
+    non-overlapping patch_size tiles, row-major.
 
     Each bag row is the row-major flattening of one tile
     (rows, then columns, then channels).
     """
     pixels = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     expect = (config.height, config.width, config.channels)
-    if pixels.shape != expect:
+    if pixels.ndim not in (3, 4) or pixels.shape[-3:] != expect:
         raise ShapeMismatch(f"patchify: image shape {pixels.shape} != configured {expect}")
     p = config.patch_size
     gh, gw = config.grid_rows, config.grid_cols
-    tiles = (pixels.reshape(gh, p, gw, p, config.channels)
-             .transpose(0, 2, 1, 3, 4)
-             .reshape(config.num_patches, config.patch_len))
+    lead = pixels.shape[:-3]
+    tiles = (pixels.reshape(lead + (gh, p, gw, p, config.channels))
+             .swapaxes(-4, -3)
+             .reshape(lead + (config.num_patches, config.patch_len)))
     return PatchBag(Tensor(tiles.copy()), gh, gw, p, config.channels)
 
 
@@ -116,8 +118,9 @@ def unpatchify(bag: PatchBag) -> np.ndarray:
     """Exact inverse of patchify (bit-for-bit roundtrip)."""
     p, c = bag.patch_size, bag.channels
     gh, gw = bag.grid_rows, bag.grid_cols
-    tiles = bag.patches.data.reshape(gh, gw, p, p, c)
-    return tiles.transpose(0, 2, 1, 3, 4).reshape(gh * p, gw * p, c).copy()
+    lead = bag.patches.shape[:-2]
+    tiles = bag.patches.data.reshape(lead + (gh, gw, p, p, c))
+    return tiles.swapaxes(-4, -3).reshape(lead + (gh * p, gw * p, c)).copy()
 
 
 @dataclass
@@ -182,7 +185,7 @@ class ModelParams:
                     requires_grad: bool = True) -> "ModelParams":
         """Rebuild params from a name -> array mapping, validating shapes."""
         expected = {name: t.shape for name, t in
-                    init_params(config, seed=0, requires_grad=False).named()}
+                    init_params(config, 0, scheme="zeros", requires_grad=False).named()}
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
         if missing or extra:
@@ -265,64 +268,71 @@ def init_params(config: ModelConfig, seed: int, scheme: str = "trunc_normal",
 
 def embed_patches(bag: PatchBag, params: ModelParams) -> Tensor:
     """Project each patch to the embedding width, prepend the class token,
-    and add position embeddings. Row 0 is the class-token slot."""
+    and add position embeddings. Row 0 of each bag is the class-token slot."""
     projected = matmul(bag.patches, params.patch_w) + params.patch_b
-    return concat([params.cls_token, projected], axis=0) + params.pos_embed
+    # one class-token row per bag: adding zeros broadcasts it over the batch
+    cls = params.cls_token + np.zeros(projected.shape[:-2] + params.cls_token.shape)
+    return concat([cls, projected], axis=-2) + params.pos_embed
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """One attention head: softmax(q k^T / sqrt(head_dim)) v.
+    """Attention heads: softmax(q k^T / sqrt(head_dim)) v.
 
-    Returns the attended values and the row-stochastic attention matrix.
+    q, k and v are (tokens, head_dim) for one head, or stacks of them with
+    any leading axes. Returns the attended values and the row-stochastic
+    attention matrices.
     """
-    head_dim = q.shape[1]
+    head_dim = q.shape[-1]
     logits = matmul(q, transpose(k)) * (1.0 / math.sqrt(head_dim))
     attn = softmax_rows(logits)
     return matmul(attn, v), attn
 
 
 def multi_head_attention(z: Tensor, layer: LayerParams,
-                         heads: int) -> tuple[Tensor, list[Tensor]]:
-    """Run the heads in parallel on disjoint column slices of the packed
-    q/k/v projections, concatenate their outputs, and project by wo."""
-    dim = z.shape[1]
-    head_dim = dim // heads
-    q = matmul(z, layer.wq)
-    k = matmul(z, layer.wk)
-    v = matmul(z, layer.wv)
-    outs, attns = [], []
-    for h in range(heads):
-        lo = h * head_dim
-        out, attn = scaled_dot_attention(
-            narrow(q, 1, lo, head_dim),
-            narrow(k, 1, lo, head_dim),
-            narrow(v, 1, lo, head_dim))
-        outs.append(out)
-        attns.append(attn)
-    return matmul(concat(outs, axis=1), layer.wo), attns
+                         heads: int) -> tuple[Tensor, Tensor]:
+    """Split the packed q/k/v projections of ``z`` ([batch,] tokens, dim)
+    into a heads axis, run every head at once, merge the heads back along
+    the columns and project by wo.
+
+    Returns the projected output and the ([batch,] heads, tokens, tokens)
+    attention matrices.
+    """
+    *lead, tokens, dim = z.shape
+    split = (*lead, tokens, heads, dim // heads)
+    # swaps the tokens and heads axes; its own inverse
+    swap = (*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2)
+
+    def heads_first(t: Tensor) -> Tensor:
+        return transpose(reshape(t, split), swap)
+
+    out, attn = scaled_dot_attention(heads_first(matmul(z, layer.wq)),
+                                     heads_first(matmul(z, layer.wk)),
+                                     heads_first(matmul(z, layer.wv)))
+    merged = reshape(transpose(out, swap), z.shape)
+    return matmul(merged, layer.wo), attn
 
 
 def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
                   train: bool = False,
-                  rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
+                  rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
     """Pre-norm block: attention then MLP, each wrapped in a residual.
 
     The MLP is linear -> GELU -> dropout -> linear; dropout only acts in
     train mode.
     """
-    attended, attns = multi_head_attention(
+    attended, attn = multi_head_attention(
         layer_norm(z, layer.ln1_gamma, layer.ln1_beta), layer, config.heads)
     z = attended + z
     h = matmul(layer_norm(z, layer.ln2_gamma, layer.ln2_beta), layer.mlp_w1) + layer.mlp_b1
     h = dropout(gelu(h), config.dropout, rng, training=train)
-    return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attns
+    return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attn
 
 
 @dataclass
 class AttentionRecord:
     """Per-layer, per-head row-stochastic attention matrices."""
 
-    layers: list[list[np.ndarray]]  # [depth][heads], each (tokens, tokens)
+    layers: list  # [depth] of (heads, tokens, tokens) stacks, one matrix per head
 
     @property
     def depth(self) -> int:
@@ -333,30 +343,66 @@ class AttentionRecord:
         return len(self.layers[0]) if self.layers else 0
 
 
-def forward(image, params: ModelParams, config: ModelConfig,
+class _Drawn:
+    """Stands in for a generator whose uniforms were drawn beforehand: its
+    one ``random`` call hands them over and lets go of them."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def random(self, shape) -> np.ndarray:
+        values, self.values = self.values, None
+        if values is None or values.shape != tuple(shape):
+            raise ShapeMismatch(f"no drawn uniforms of shape {tuple(shape)} left")
+        return values
+
+
+def forward(images, params: ModelParams, config: ModelConfig,
             train: bool = False,
-            rng: np.random.Generator | None = None) -> tuple[Tensor, AttentionRecord]:
+            rng: np.random.Generator | None = None,
+            ) -> tuple[Tensor, AttentionRecord | list[AttentionRecord]]:
     """Full pass: standardize, patchify, embed, encoder stack, final layer
     norm, then a fully-connected classifier on the class-token row only.
+
+    ``images`` is a (batch, height, width, channels) stack, which moves
+    through every layer as one (batch, tokens, dim) tensor and gives
+    (batch, num_classes) logits and one AttentionRecord per image. A single
+    (height, width, channels) image runs as a batch of one and gives
+    (num_classes,) logits and its AttentionRecord.
 
     Pixels arrive in [0, 1] and are mapped to [-1, 1] first (the usual
     mean-0.5/std-0.5 image normalization); without it the shared DC level
     of every patch dwarfs the content the encoder should attend to.
 
-    Eval mode (train=False) is a pure function of image and params.
+    Eval mode (train=False) is a pure function of images and params. In
+    train mode ``rng`` draws every dropout mask of the batch in one call,
+    image by image, so each image gets the masks it would get in a pass
+    over the images one at a time: the random stream, and hence training,
+    does not depend on how the images are batched.
     """
-    if train and config.dropout > 0.0 and rng is None:
-        raise ValueError("train-mode forward needs an rng when dropout > 0")
-    image = (np.asarray(image, dtype=DTYPE) - 0.5) / 0.5
-    z = embed_patches(patchify(image, config), params)
-    recorded: list[list[np.ndarray]] = []
-    for layer in params.layers:
-        z, attns = encoder_block(z, layer, config, train=train, rng=rng)
-        recorded.append([a.data.copy() for a in attns])
+    pixels = np.asarray(images, dtype=DTYPE)
+    single = pixels.ndim == 3
+    if single:
+        pixels = pixels[None]
+    z = embed_patches(patchify((pixels - 0.5) / 0.5, config), params)
+    batch, tokens = z.shape[0], z.shape[1]
+    layer_rngs = [rng] * config.depth
+    if train and config.dropout > 0.0:
+        if rng is None:
+            raise ValueError("train-mode forward needs an rng when dropout > 0")
+        noise = rng.random((batch, config.depth, tokens, config.mlp_ratio * config.dim))
+        layer_rngs = [_Drawn(layer_noise) for layer_noise in noise.swapaxes(0, 1)]
+        del noise  # freed once the last layer has taken its uniforms
+    recorded = []
+    for layer, layer_rng in zip(params.layers, layer_rngs):
+        z, attn = encoder_block(z, layer, config, train=train, rng=layer_rng)
+        recorded.append(attn.data)
     z = layer_norm(z, params.ln_f_gamma, params.ln_f_beta)
-    cls_row = narrow(z, 0, 0, 1)
-    logits = reshape(matmul(cls_row, params.fc_w) + params.fc_b, (config.num_classes,))
-    return logits, AttentionRecord(recorded)
+    cls_rows = narrow(z, 1, 0, 1)
+    logits = reshape(matmul(cls_rows, params.fc_w) + params.fc_b,
+                     (config.num_classes,) if single else (batch, config.num_classes))
+    records = [AttentionRecord([attn[b] for attn in recorded]) for b in range(batch)]
+    return logits, records[0] if single else records
 
 
 def attention_rollout(record: AttentionRecord) -> np.ndarray:

@@ -243,29 +243,60 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product with numpy ``@`` semantics over leading axes.
+
+    Both operands need at least two axes; leading axes broadcast, and the
+    adjoint sums each gradient back down to its operand's shape. A stack
+    times a matrix, the layout of every linear layer, runs as one flat
+    product over all the stacked rows.
+    """
     a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+    flat = b.ndim == 2
+    if flat:
+        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    else:
+        try:
+            data = a.data @ b.data
+        except ValueError:
+            raise ShapeMismatch(
+                f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast") from None
+    out = Tensor(data, a.requires_grad or b.requires_grad)
 
     def adjoint(g):
+        if flat:
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g2)
+            return
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     _record(out, adjoint)
     return out
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes; by default swap the last two (a matrix transpose on
+    every matrix of a stack)."""
     a = _wrap(a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T.copy(), a.requires_grad)
+    if axes is None:
+        if a.ndim < 2:
+            raise ShapeMismatch(f"transpose needs at least 2 axes, got shape {a.shape}")
+        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeMismatch(f"transpose: axes {axes} do not permute shape {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    out = Tensor(a.data.transpose(axes), a.requires_grad)
 
     def adjoint(g):
-        _accum(a, g.T)
+        _accum(a, g.transpose(inverse))
 
     _record(out, adjoint)
     return out
@@ -403,24 +434,24 @@ def log(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax_rows(x) -> Tensor:
-    """Row-wise softmax of a matrix, stabilized by per-row max subtraction.
+    """Softmax along the last axis, stabilized by per-row max subtraction.
 
-    Every output row is nonnegative and sums to 1 for any finite input,
-    including extreme magnitudes.
+    Takes a matrix or a stack of matrices. Every output row is nonnegative
+    and sums to 1 for any finite input, including extreme magnitudes.
     """
     x = _wrap(x)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"softmax_rows expects a matrix, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ShapeMismatch(f"softmax_rows expects at least 2 axes, got shape {x.shape}")
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax_rows received non-finite input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, x.requires_grad)
 
     def adjoint(g):
         # d/dx of softmax: y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(x, y * (g - dot))
 
     _record(out, adjoint)
@@ -504,11 +535,12 @@ def dropout(x, p: float, rng: np.random.Generator | None, training: bool) -> Ten
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng for determinism")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask, x.requires_grad)
+    keep = rng.random(x.data.shape) >= p  # a boolean mask holds 1/8 the bytes
+    scale = 1.0 / (1.0 - p)
+    out = Tensor(x.data * keep * scale, x.requires_grad)
 
     def adjoint(g):
-        _accum(x, g * mask)
+        _accum(x, g * keep * scale)
 
     _record(out, adjoint)
     return out
@@ -522,7 +554,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate grads of every requires_grad leaf reachable from the loss.
 
     Visits each recorded op exactly once, in reverse execution order.
-    The tape is single-use.
+    The tape is single-use: each op is dropped from it once replayed, which
+    frees the activations and gradients nothing else holds while the pass
+    runs. ``len(tape)`` still counts the recorded ops.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -530,11 +564,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise TapeError("tape already consumed by a previous backward")
     tape._consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, adjoint in reversed(tape._nodes):
-        g = out.grad
-        if g is None:
-            continue
-        adjoint(g)
+    nodes = tape._nodes
+    for i in range(len(nodes) - 1, -1, -1):
+        out, adjoint = nodes[i]
+        nodes[i] = None
+        if out.grad is not None:
+            adjoint(out.grad)
 
 
 @dataclass

@@ -10,7 +10,11 @@ import numpy as np
 
 from .metrics import ScoredSample, accuracy, roc_auc
 from .model import ModelConfig, ModelParams, forward
-from .tensor import NumericError, Tape, Tensor, backward, exp, log, sum_all, take
+from .tensor import NumericError, Tape, Tensor, backward, exp, log, matmul, reshape, sum_all
+
+# Frames per eval-mode forward pass in score_samples. Every scorer uses the
+# same chunks, so a frame's score does not depend on which command made it.
+SCORE_CHUNK = 16
 
 
 class NonFiniteLoss(NumericError):
@@ -56,15 +60,26 @@ class EpochStats:
     lr: float
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], in log-sum-exp form (no overflow)."""
-    n = logits.shape[0]
-    if not 0 <= label < n:
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """-log softmax(logits)[label], in log-sum-exp form (no overflow).
+
+    ``logits`` is one (num_classes,) row with an int label, or a
+    (batch, num_classes) stack with one label per row; the loss is summed
+    over the rows.
+    """
+    n = logits.shape[-1]
+    labels = np.atleast_1d(np.asarray(label))
+    if (labels.dtype.kind not in "iu" or labels.ndim != 1
+            or labels.shape[0] != (1 if logits.ndim == 1 else logits.shape[0])):
+        raise ValueError(f"labels {label!r} do not match logits {logits.shape}")
+    if not ((labels >= 0) & (labels < n)).all():
         raise ValueError(f"label {label} out of range for {n} classes")
-    # subtracting the max as a constant keeps exp bounded and leaves the
-    # gradient exact: d/dx logsumexp(x - m) = softmax(x)
-    shifted = logits - float(np.max(logits.data))
-    return log(sum_all(exp(shifted))) - take(shifted, label)
+    rows = reshape(logits, (len(labels), n))
+    # subtracting the row max as a constant keeps exp bounded and leaves
+    # the gradient exact: d/dx logsumexp(x - m) = softmax(x)
+    shifted = rows - rows.data.max(axis=1, keepdims=True)
+    log_sum = log(matmul(exp(shifted), np.ones((n, 1))))
+    return sum_all(log_sum) - sum_all(shifted * np.eye(n)[labels])
 
 
 def cosine_lr(t: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> float:
@@ -85,15 +100,13 @@ class MomentumSGD:
     """
 
     def __init__(self, params: list[Tensor], momentum: float = 0.9,
-                 weight_decay: float = 0.0, clip_norm: float = 0.0,
-                 total_steps: int = 0):
+                 weight_decay: float = 0.0, clip_norm: float = 0.0):
         self.params = list(params)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.velocities = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
-        self.total_steps = total_steps
 
     def step(self, lr: float) -> None:
         for i, p in enumerate(self.params):
@@ -116,19 +129,26 @@ class MomentumSGD:
         self.t += 1
 
 
+def _fake_probs(logits: np.ndarray) -> np.ndarray:
+    """Tampered-class probability along the last axis of raw logits."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e[..., 1] / e.sum(axis=-1)
+
+
 def fake_score(logits: Tensor) -> float:
     """Probability of the tampered class from raw logits."""
-    z = logits.data - logits.data.max()
-    e = np.exp(z)
-    return float(e[1] / e.sum())
+    return float(_fake_probs(logits.data))
 
 
 def score_samples(params: ModelParams, samples, config: ModelConfig) -> list[ScoredSample]:
-    """Eval-mode scores for a list of image samples."""
+    """Eval-mode scores for a list of image samples, in order, from
+    batched forward passes of SCORE_CHUNK frames."""
     out = []
-    for s in samples:
-        logits, _ = forward(s.pixels, params, config)
-        out.append(ScoredSample(fake_score(logits), s.label, s.video_id))
+    for start in range(0, len(samples), SCORE_CHUNK):
+        chunk = samples[start:start + SCORE_CHUNK]
+        logits, _ = forward(np.stack([s.pixels for s in chunk]), params, config)
+        out += [ScoredSample(float(p), s.label, s.video_id)
+                for p, s in zip(_fake_probs(logits.data), chunk)]
     return out
 
 
@@ -182,9 +202,12 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     """Run the full training loop; deterministic for a fixed seed.
 
     ``splits`` needs non-empty ``train`` and ``val`` lists of image
-    samples. One generator, seeded from the config, drives shuffling and
-    dropout masks in a fixed order. The schedule is stepped once per
-    optimizer step with T = epochs * ceil(len(train) / batch_size).
+    samples. Each minibatch runs as one batched forward and backward pass
+    on one tape. One generator, seeded from the config, drives shuffling
+    and dropout masks (one draw per minibatch, see ``forward``) in a fixed
+    order. The schedule is stepped once per optimizer step with
+    T = epochs * ceil(len(train) / batch_size). A non-finite loss or
+    gradient stops training before the update, naming where it happened.
     """
     train_set = splits.train
     val_set = splits.val
@@ -196,40 +219,41 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
-    opt = MomentumSGD([t for t in params.tensors()],
+    named = params.named()
+    opt = MomentumSGD([t for _, t in named],
                       momentum=train_cfg.momentum,
                       weight_decay=train_cfg.weight_decay,
-                      clip_norm=train_cfg.clip_norm,
-                      total_steps=total_steps)
+                      clip_norm=train_cfg.clip_norm)
 
     history: list[EpochStats] = []
     for epoch in range(train_cfg.epochs):
         order = _shuffled_order(train_set, rng)
-        losses = []
+        loss_sum = 0.0
         correct = 0
         last_lr = math.nan
         for start in range(0, len(order), train_cfg.batch_size):
-            batch = order[start:start + train_cfg.batch_size]
+            batch = [train_set[i] for i in order[start:start + train_cfg.batch_size]]
+            labels = np.array([s.label for s in batch])
             last_lr = cosine_lr(opt.t, total_steps, train_cfg.lr0, train_cfg.lr_min)
-            for idx in batch:
-                sample = train_set[idx]
-                with Tape() as tape:
-                    logits, _ = forward(sample.pixels, params, model_cfg,
-                                        train=True, rng=rng)
-                    loss = cross_entropy(logits, sample.label)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise NonFiniteLoss(
-                        f"non-finite loss {value} at epoch {epoch} step {opt.t} "
-                        f"(video {sample.video_id} frame {sample.frame_idx})")
-                backward(loss, tape)
-                losses.append(value)
-                predicted = int(np.argmax(logits.data))
-                correct += predicted == sample.label
+            with Tape() as tape:
+                logits, _ = forward(np.stack([s.pixels for s in batch]), params,
+                                    model_cfg, train=True, rng=rng)
+                loss = cross_entropy(logits, labels)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NonFiniteLoss(
+                    f"non-finite loss {value} at epoch {epoch} step {opt.t} "
+                    f"(batch from video {batch[0].video_id} frame {batch[0].frame_idx})")
+            backward(loss, tape)
+            loss_sum += value
+            correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
             # mean-over-batch gradient keeps lr robust to batch size
             inv = 1.0 / len(batch)
-            for p in opt.params:
+            for name, p in named:
                 p.grad *= inv
+                if not np.isfinite(p.grad).all():
+                    raise NonFiniteLoss(f"non-finite gradient of {name} at epoch {epoch} "
+                                        f"step {opt.t}")
             opt.step(last_lr)
 
         val_acc = val_auc = None
@@ -237,7 +261,7 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
             val_acc, val_auc = evaluate(params, val_set, model_cfg)
         history.append(EpochStats(
             epoch=epoch,
-            mean_loss=float(np.mean(losses)),
+            mean_loss=loss_sum / len(train_set),
             train_acc=correct / len(train_set),
             val_acc=val_acc,
             val_auc=val_auc,

@@ -17,6 +17,7 @@ from bolf.data import (
     ImageSample,
     PerturbationSpec,
     build_dataset,
+    build_split,
     gen_manipulated,
     gen_original,
     load_manifest,
@@ -328,6 +329,16 @@ class TestDatasetAssembly:
     def test_split_accessor_rejects_unknown(self, tiny_splits):
         with pytest.raises(ValueError):
             tiny_splits.split("holdout")
+        with pytest.raises(ValueError):
+            build_split(tiny_splits.spec, "holdout")
+
+    def test_one_split_alone_matches_the_full_build(self, tiny_splits, tiny_spec):
+        # cross-family eval generates only the test split it scores
+        alone = build_split(tiny_spec, "test")
+        assert len(alone) == len(tiny_splits.test)
+        for a, b in zip(alone, tiny_splits.test):
+            assert (a.video_id, a.frame_idx, a.label) == (b.video_id, b.frame_idx, b.label)
+            assert np.array_equal(a.pixels, b.pixels)
 
 
 class TestManifest:

@@ -22,7 +22,8 @@ from bolf.model import (
     scaled_dot_attention,
     unpatchify,
 )
-from bolf.tensor import ShapeMismatch, Tensor
+from bolf.tensor import ShapeMismatch, Tape, Tensor, backward
+from bolf.train import cross_entropy
 
 
 def _image(cfg: ModelConfig, seed: int = 0) -> np.ndarray:
@@ -237,6 +238,71 @@ class TestForward:
         assert z.shape == (tiny_model_cfg.num_patches + 1, tiny_model_cfg.dim)
         # pos_embed is zero at init, so row 0 is exactly the class token
         assert np.array_equal(z.data[0], params.cls_token.data[0])
+
+
+class TestBatchedForward:
+    """A stack of images through one batched pass must agree with the
+    images run one at a time. Batching changes only how BLAS groups the
+    products, so agreement is to rounding, not bit for bit."""
+
+    def _stack(self, cfg, n=5):
+        return np.stack([_image(cfg, seed=s) for s in range(n)])
+
+    def test_batch_matches_single_images(self):
+        cfg = ModelConfig()
+        params = init_params(cfg, seed=1)
+        images = self._stack(cfg)
+        logits, records = forward(images, params, cfg)
+        assert logits.shape == (len(images), cfg.num_classes)
+        assert len(records) == len(images)
+        for image, row, record in zip(images, logits.data, records):
+            one, one_record = forward(image, params, cfg)
+            assert np.max(np.abs(row - one.data)) <= 1e-12
+            assert record.depth == one_record.depth
+            assert record.heads == one_record.heads
+            for heads, one_heads in zip(record.layers, one_record.layers):
+                for attn, one_attn in zip(heads, one_heads):
+                    assert np.max(np.abs(attn - one_attn)) <= 1e-12
+
+    def test_batch_gradient_is_sum_of_sample_gradients(self, tiny_model_cfg):
+        cfg = tiny_model_cfg
+        params = init_params(cfg, seed=2)
+        images = self._stack(cfg, n=4)
+        labels = np.array([0, 1, 1, 0])
+
+        with Tape() as tape:
+            logits, _ = forward(images, params, cfg)
+            loss = cross_entropy(logits, labels)
+        backward(loss, tape)
+        batched = {name: t.grad.copy() for name, t in params.named()}
+        for t in params.tensors():
+            t.zero_grad()
+
+        for image, label in zip(images, labels):
+            with Tape() as tape:
+                logits, _ = forward(image, params, cfg)
+                loss = cross_entropy(logits, int(label))
+            backward(loss, tape)
+        for name, t in params.named():
+            assert np.max(np.abs(batched[name] - t.grad)) <= 1e-12, name
+
+    def test_single_image_is_a_batch_of_one(self, tiny_model_cfg):
+        params = init_params(tiny_model_cfg, seed=0)
+        img = _image(tiny_model_cfg)
+        one, record = forward(img, params, tiny_model_cfg)
+        stacked, records = forward(img[None], params, tiny_model_cfg)
+        assert np.array_equal(one.data, stacked.data[0])
+        for a, b in zip(record.layers, records[0].layers):
+            assert np.array_equal(a, b)
+
+    def test_batched_patchify_roundtrip(self, tiny_model_cfg):
+        images = self._stack(tiny_model_cfg, n=3)
+        bag = patchify(images, tiny_model_cfg)
+        assert bag.patches.shape == (3, tiny_model_cfg.num_patches,
+                                     tiny_model_cfg.patch_len)
+        for image, patches in zip(images, bag.patches.data):
+            assert np.array_equal(patches, patchify(image, tiny_model_cfg).patches.data)
+        assert np.array_equal(unpatchify(bag), images)
 
 
 class TestAttentionOracle:

@@ -235,11 +235,34 @@ class TestStructuralOps:
         with pytest.raises(ShapeMismatch):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
+    def test_batched_matmul_matches_per_matrix_products(self):
+        # integer-valued operands make every product exact
+        rng = np.random.default_rng(5)
+        stack = rng.integers(-9, 10, size=(3, 4, 5)).astype(float)
+        w = rng.integers(-9, 10, size=(5, 2)).astype(float)
+        got = matmul(Tensor(stack), Tensor(w)).data
+        assert np.array_equal(got, np.stack([m @ w for m in stack]))
+        other = rng.integers(-9, 10, size=(3, 5, 6)).astype(float)
+        got = matmul(Tensor(stack), Tensor(other)).data
+        assert np.array_equal(got, np.stack([m @ o for m, o in zip(stack, other)]))
+
+    def test_batched_matmul_leading_axes_must_broadcast(self):
+        with pytest.raises(ShapeMismatch):
+            matmul(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((2, 4, 5))))
+
     def test_transpose_value_and_errors(self):
         a = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(transpose(Tensor(a)).data, a.T)
         with pytest.raises(ShapeMismatch):
             transpose(Tensor([1.0, 2.0]))
+        with pytest.raises(ShapeMismatch):
+            transpose(Tensor(a), axes=(0, 0))
+
+    def test_transpose_default_swaps_last_two_axes(self):
+        a = np.arange(24.0).reshape(2, 3, 4)
+        assert np.array_equal(transpose(Tensor(a)).data, a.transpose(0, 2, 1))
+        assert np.array_equal(transpose(Tensor(a), axes=(2, 0, 1)).data,
+                              a.transpose(2, 0, 1))
 
     def test_transpose_involution_is_exact(self):
         a = np.random.default_rng(0).normal(size=(4, 5))
@@ -329,6 +352,13 @@ class TestNonlinearOps:
         out = softmax_rows(Tensor(x)).data
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-15)
         assert (out >= 0.0).all()
+
+    def test_softmax_normalizes_last_axis_of_a_stack(self):
+        x = np.random.default_rng(6).normal(size=(2, 3, 4))
+        out = softmax_rows(Tensor(x)).data
+        for i in range(2):
+            assert np.array_equal(out[i], softmax_rows(Tensor(x[i])).data)
+        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-15)
 
     def test_softmax_rejects_non_matrix(self):
         with pytest.raises(ShapeMismatch):
@@ -430,6 +460,43 @@ class TestGradCheck:
             return sum_all(mul(matmul(softmax_rows(x), v), v))
 
         assert grad_check(f, x0).passed
+
+    def test_batched_matmul_stack_times_matrix(self):
+        rng = np.random.default_rng(12)
+        w = Tensor(rng.normal(size=(4, 3)))
+        x0 = rng.normal(size=(2, 5, 4))
+        weight = Tensor(rng.normal(size=(2, 5, 3)))
+        assert grad_check(lambda x: sum_all(mul(matmul(x, w), weight)), x0).passed
+        # the shared matrix collects its gradient from every stacked product
+        stack = Tensor(x0)
+        assert grad_check(lambda t: sum_all(mul(matmul(stack, t), weight)),
+                          w.data).passed
+
+    def test_batched_matmul_four_dimensional(self):
+        rng = np.random.default_rng(13)
+        other = Tensor(rng.normal(size=(2, 3, 4, 5)))
+        weight = Tensor(rng.normal(size=(2, 3, 6, 5)))
+        x0 = rng.normal(size=(2, 3, 6, 4))
+        assert grad_check(lambda x: sum_all(mul(matmul(x, other), weight)), x0).passed
+        left = Tensor(x0)
+        assert grad_check(lambda t: sum_all(mul(matmul(left, t), weight)),
+                          other.data).passed
+        # a leading axis of one broadcasts, and its gradient sums back
+        assert grad_check(lambda t: sum_all(mul(matmul(left, t), weight)),
+                          other.data[:1]).passed
+
+    def test_transpose_with_axes(self):
+        rng = np.random.default_rng(14)
+        weight = Tensor(rng.normal(size=(4, 2, 3)))
+        x0 = rng.normal(size=(2, 3, 4))
+        assert grad_check(lambda x: sum_all(mul(transpose(x, (2, 0, 1)), weight)),
+                          x0).passed
+
+    def test_softmax_rows_of_a_stack(self):
+        rng = np.random.default_rng(15)
+        weight = Tensor(rng.normal(size=(2, 3, 4)))
+        x0 = rng.normal(size=(2, 3, 4))
+        assert grad_check(lambda x: sum_all(mul(softmax_rows(x), weight)), x0).passed
 
     def test_detects_detached_gradient(self):
         # f breaks the tape on purpose: analytic grad is zero while the

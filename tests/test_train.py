@@ -37,6 +37,15 @@ class TestCrossEntropy:
         assert cross_entropy(Tensor([1.0, 2.0]), 1).item() == pytest.approx(
             0.31326168751822286, abs=1e-15)
 
+    def test_batch_sums_row_losses(self):
+        rows = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.1]])
+        labels = [1, 0, 0]
+        total = cross_entropy(Tensor(rows), np.array(labels)).item()
+        want = sum(cross_entropy(Tensor(r), y).item() for r, y in zip(rows, labels))
+        assert total == pytest.approx(want, abs=1e-14)
+        with pytest.raises(ValueError):
+            cross_entropy(Tensor(rows), np.array([0, 1]))
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(Tensor([0.0, 0.0]), 2)
@@ -305,3 +314,21 @@ class TestTrainLoop:
         params = init_params(tiny_model_cfg, seed=0)
         with pytest.raises(NonFiniteLoss, match="epoch 0"):
             train(params, tiny_splits, quick_cfg, tiny_model_cfg)
+
+    def test_non_finite_gradient_is_reported(self, tiny_splits, tiny_model_cfg,
+                                             quick_cfg, monkeypatch):
+        # fault injection: a finite loss whose backward leaves a NaN in one
+        # gradient must stop training before the update, naming the
+        # parameter, instead of surfacing steps later in some other op
+        train_module = importlib.import_module("bolf.train")
+        params = init_params(tiny_model_cfg, seed=0)
+        before = params.layers[0].wv.data.copy()
+
+        def poisoned_backward(loss, tape):
+            backward(loss, tape)
+            params.layers[0].wv.grad[0, 0] = float("nan")
+
+        monkeypatch.setattr(train_module, "backward", poisoned_backward)
+        with pytest.raises(NonFiniteLoss, match=r"layer0\.wv at epoch 0 step 0"):
+            train(params, tiny_splits, quick_cfg, tiny_model_cfg)
+        assert np.array_equal(params.layers[0].wv.data, before)
