@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -137,7 +138,7 @@ def cmd_gen_data(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    splits = load_manifest(_manifest_path(cfg))
+    splits = load_manifest(_manifest_path(cfg), ("train", "val"))
     params = init_params(cfg.model, seed=cfg.train.seed)
     params, history = train(params, splits, cfg.train, cfg.model)
 
@@ -210,8 +211,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         rows = [_report_row(cfg, scored, split="test", family=other,
                             perturbation="none", level=0)]
     else:
-        splits = load_manifest(_manifest_path(cfg))
-        base = splits.split(cfg.split)
+        base = load_manifest(_manifest_path(cfg), (cfg.split,)).split(cfg.split)
         family = base[0].family if base else cfg.data.family
         if cfg.protocol == "in_dist":
             scored = score_samples(params, base, cfg.model)
@@ -352,7 +352,10 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: repeated in-process
+    calls to :func:`main` share it, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bolf",
         description="Bag-of-local-feature transformer for face-manipulation "

@@ -490,16 +490,23 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path) -> DatasetSplits:
+def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSplits:
     """Load samples listed in a manifest; pixels come from the image files.
 
+    Every row is validated and counts toward the spec, but images are read
+    only for the requested ``splits``; the other splits come back empty.
     Tamper masks are not persisted, so loaded fakes carry mask None.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     if not manifest_path.exists():
         raise FormatError(f"manifest not found: {manifest_path}")
-    splits = {"train": [], "val": [], "test": []}
+    loaded = {"train": [], "val": [], "test": []}
+    for name in splits:
+        if name not in loaded:
+            raise ValueError(f"unknown split {name!r}")
+    counts = dict.fromkeys(loaded, 0)
+    first_rel = None
     family = "A"
     with open(manifest_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -510,21 +517,28 @@ def load_manifest(manifest_path) -> DatasetSplits:
             if len(row) != len(MANIFEST_COLUMNS):
                 raise FormatError(f"bad manifest row {row!r}")
             rel, label, video_id, frame_idx, family, split = row
-            if split not in splits:
+            if split not in loaded:
                 raise FormatError(f"unknown split {split!r} in manifest")
             if label not in ("0", "1"):
                 raise FormatError(f"bad label {label!r} in manifest")
-            splits[split].append(ImageSample(
-                pixels=read_ppm(base / rel), label=int(label), video_id=video_id,
-                frame_idx=int(frame_idx), tamper_mask=None, family=family))
-    if not any(splits.values()):
+            try:
+                frame = int(frame_idx)
+            except ValueError:
+                raise FormatError(f"bad frame index {frame_idx!r} in manifest") from None
+            counts[split] += 1
+            if first_rel is None:
+                first_rel = rel
+            if split in splits:
+                loaded[split].append(ImageSample(
+                    pixels=read_ppm(base / rel), label=int(label), video_id=video_id,
+                    frame_idx=frame, tamper_mask=None, family=family))
+    if first_rel is None:
         raise FormatError(f"manifest {manifest_path} lists no samples")
-    first = next(s for lst in splits.values() for s in lst)
-    h, w, c = first.pixels.shape
-    counts = {k: len(v) for k, v in splits.items()}
+    first = next((s.pixels for lst in loaded.values() for s in lst), None)
+    h, w, c = (first if first is not None else read_ppm(base / first_rel)).shape
     spec = DatasetSpec(family=family,
                        train_count=max(2, counts["train"] + counts["train"] % 2),
                        val_count=max(2, counts["val"] + counts["val"] % 2),
                        test_count=max(2, counts["test"] + counts["test"] % 2),
                        height=h, width=w, channels=c)
-    return DatasetSplits(spec=spec, **splits)
+    return DatasetSplits(spec=spec, **loaded)

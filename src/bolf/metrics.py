@@ -21,17 +21,18 @@ class ScoredSample:
 
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank.
+
+    These are ``scipy.stats.rankdata(values, method="average")``, computed
+    here because importing scipy.stats adds about 45 MB of resident memory
+    and a second of start-up to every process that scores.
+    """
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)] - 1  # last index of each run of ties
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -184,8 +184,7 @@ class ModelParams:
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray],
                     requires_grad: bool = True) -> "ModelParams":
         """Rebuild params from a name -> array mapping, validating shapes."""
-        expected = {name: t.shape for name, t in
-                    init_params(config, 0, scheme="zeros", requires_grad=False).named()}
+        expected = {name: shape for name, shape, _ in _param_table(config)}
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
         if missing or extra:
@@ -223,6 +222,26 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
     return out
 
 
+def _param_table(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every parameter, in the order init_params
+    draws them: the encoder blocks first, then the embedding and the head.
+    init is "weight" (truncated normal), "zeros" or "ones"."""
+    d, hidden = config.dim, config.mlp_ratio * config.dim
+    block = [("ln1_gamma", (d,), "ones"), ("ln1_beta", (d,), "zeros"),
+             ("wq", (d, d), "weight"), ("wk", (d, d), "weight"),
+             ("wv", (d, d), "weight"), ("wo", (d, d), "weight"),
+             ("ln2_gamma", (d,), "ones"), ("ln2_beta", (d,), "zeros"),
+             ("mlp_w1", (d, hidden), "weight"), ("mlp_b1", (hidden,), "zeros"),
+             ("mlp_w2", (hidden, d), "weight"), ("mlp_b2", (d,), "zeros")]
+    table = [(f"layer{i}.{name}", shape, init)
+             for i in range(config.depth) for name, shape, init in block]
+    return table + [
+        ("patch_w", (config.patch_len, d), "weight"), ("patch_b", (d,), "zeros"),
+        ("cls_token", (1, d), "weight"), ("pos_embed", (config.num_patches + 1, d), "zeros"),
+        ("ln_f_gamma", (d,), "ones"), ("ln_f_beta", (d,), "zeros"),
+        ("fc_w", (d, config.num_classes), "weight"), ("fc_b", (config.num_classes,), "zeros")]
+
+
 def init_params(config: ModelConfig, seed: int, scheme: str = "trunc_normal",
                 requires_grad: bool = True) -> ModelParams:
     """Deterministic initialization for a fixed seed.
@@ -236,34 +255,16 @@ def init_params(config: ModelConfig, seed: int, scheme: str = "trunc_normal",
         raise ValueError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    def weight(*shape):
-        if scheme == "zeros":
-            return Tensor(np.zeros(shape), requires_grad)
-        return Tensor(_trunc_normal(rng, shape), requires_grad)
+    def make(shape, init):
+        if init == "ones":
+            return np.ones(shape)
+        if init == "weight" and scheme == "trunc_normal":
+            return _trunc_normal(rng, shape)
+        return np.zeros(shape)
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad)
-
-    d, hidden = config.dim, config.mlp_ratio * config.dim
-    layers = []
-    for _ in range(config.depth):
-        layers.append(LayerParams(
-            ln1_gamma=ones(d), ln1_beta=zeros(d),
-            wq=weight(d, d), wk=weight(d, d), wv=weight(d, d), wo=weight(d, d),
-            ln2_gamma=ones(d), ln2_beta=zeros(d),
-            mlp_w1=weight(d, hidden), mlp_b1=zeros(hidden),
-            mlp_w2=weight(hidden, d), mlp_b2=zeros(d)))
-    return ModelParams(
-        patch_w=weight(config.patch_len, d),
-        patch_b=zeros(d),
-        cls_token=weight(1, d),
-        pos_embed=zeros(config.num_patches + 1, d),
-        layers=layers,
-        ln_f_gamma=ones(d), ln_f_beta=zeros(d),
-        fc_w=weight(d, config.num_classes), fc_b=zeros(config.num_classes))
+    return _params_from_mapping(
+        {name: Tensor(make(shape, init), requires_grad)
+         for name, shape, init in _param_table(config)}, config.depth)
 
 
 def embed_patches(bag: PatchBag, params: ModelParams) -> Tensor:

@@ -25,7 +25,6 @@ from scipy.special import erf
 DTYPE = np.float64
 
 _SQRT_2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -493,30 +492,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return out
 
 
-def gelu(x, approximate: bool = False) -> Tensor:
-    """Gaussian-error linear unit.
-
-    Default is the exact erf formulation 0.5*x*(1 + erf(x/sqrt(2))).
-    With ``approximate=True`` uses the tanh form; the adjoint matches
-    whichever formulation produced the output.
-    """
+def gelu(x) -> Tensor:
+    """Gaussian-error linear unit, exact erf form 0.5*x*(1 + erf(x/sqrt(2)))."""
     x = _wrap(x)
-    if approximate:
-        inner = _SQRT_2_OVER_PI * (x.data + 0.044715 * x.data ** 3)
-        t = np.tanh(inner)
-        out = Tensor(0.5 * x.data * (1.0 + t), x.requires_grad)
+    cdf = 0.5 * (1.0 + erf(x.data / _SQRT_2))
+    out = Tensor(x.data * cdf, x.requires_grad)
 
-        def adjoint(g):
-            dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x.data ** 2)
-            d = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * dinner
-            _accum(x, g * d)
-    else:
-        cdf = 0.5 * (1.0 + erf(x.data / _SQRT_2))
-        out = Tensor(x.data * cdf, x.requires_grad)
-
-        def adjoint(g):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-            _accum(x, g * (cdf + x.data * pdf))
+    def adjoint(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
+        _accum(x, g * (cdf + x.data * pdf))
 
     _record(out, adjoint)
     return out

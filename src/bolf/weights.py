@@ -19,6 +19,7 @@ their parameters through :func:`roundtrip_f32` first.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -27,6 +28,8 @@ import numpy as np
 
 MAGIC = b"BOLF"
 VERSION = 1
+
+_U32 = struct.Struct("<I")
 
 
 class WeightsError(ValueError):
@@ -59,42 +62,43 @@ def load_weights(path) -> dict[str, np.ndarray]:
         raise WeightsError(f"file too short to be a weights file ({len(data)} bytes)")
     if data[:4] != MAGIC:
         raise WeightsError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    actual_crc = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    end = len(data) - 4
+    # Every read below goes through this view, so a field that runs past
+    # the checksum raises struct.error instead of reading the checksum.
+    body = memoryview(data)[:end]
+    (stored_crc,) = _U32.unpack_from(data, end)
+    actual_crc = zlib.crc32(body)
     if stored_crc != actual_crc:
         raise WeightsError(f"checksum mismatch: stored {stored_crc:#010x}, "
                            f"computed {actual_crc:#010x}")
     version, count = struct.unpack_from("<II", data, 4)
     if version != VERSION:
         raise WeightsError(f"unsupported format version {version}")
-    pos = 12
-    end = len(data) - 4
-
-    def need(n: int):
-        if pos + n > end:
-            raise WeightsError("truncated weights file")
 
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        need(4)
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        need(name_len)
-        name = data[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        need(4)
-        (rank,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        need(8 * rank)
-        dims = struct.unpack_from(f"<{rank}Q", data, pos) if rank else ()
-        pos += 8 * rank
-        n_vals = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        need(4 * n_vals)
-        arr = np.frombuffer(data, dtype="<f4", count=n_vals, offset=pos).reshape(dims)
-        pos += 4 * n_vals
-        if name in out:
-            raise WeightsError(f"duplicate tensor name {name!r}")
-        out[name] = arr.copy()
+    pos = 12
+    try:
+        for _ in range(count):
+            (name_len,) = _U32.unpack_from(body, pos)
+            raw_name = body[pos + 4:pos + 4 + name_len]
+            pos += 4 + name_len
+            (rank,) = _U32.unpack_from(body, pos)
+            dims = struct.unpack_from(f"<{rank}Q", body, pos + 4)
+            pos += 4 + 8 * rank
+            n_vals = math.prod(dims)
+            if pos + 4 * n_vals > end:
+                raise WeightsError("truncated weights file")
+            try:
+                name = str(raw_name, "utf-8")
+                arr = np.frombuffer(body, "<f4", n_vals, pos).reshape(dims)
+            except ValueError as exc:  # undecodable name, unrepresentable shape
+                raise WeightsError(f"bad tensor entry: {exc}") from None
+            if name in out:
+                raise WeightsError(f"duplicate tensor name {name!r}")
+            out[name] = arr.copy()
+            pos += 4 * n_vals
+    except struct.error:
+        raise WeightsError("truncated weights file") from None
     if pos != end:
         raise WeightsError(f"{end - pos} unexpected trailing bytes before checksum")
     return out

@@ -5,13 +5,15 @@ rollout, determinism, and exit-code tests all work against it.
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bolf.cli as cli
 from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from bolf.data import read_ppm
+from bolf.data import FormatError, read_ppm
 from bolf.model import ModelConfig, init_params
 from bolf.tensor import Tensor, mul, sum_all
 from bolf.weights import save_weights
@@ -291,3 +293,108 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
         assert err.value.code == 2
+
+
+def _tree(root):
+    return [(p.relative_to(root).as_posix(), p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()]
+
+
+class TestReuse:
+    """main() may be called again and again in one process, as tests,
+    notebooks and the benchmark do; the one parser it builds must carry
+    nothing from one call into the next."""
+
+    @staticmethod
+    def _run(argv, monkeypatch):
+        """Run one command and return the config it ran with."""
+        seen = []
+        real = cli.load_config
+
+        def capture(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "load_config", capture)
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(cli, "load_config", real)
+        return seen[0]
+
+    def test_successive_calls_match_lone_calls(self, ws, monkeypatch):
+        root = ws["root"] / "reuse"
+
+        def first(out):
+            return ["gen-data", "--config", ws["cfg"], "--seed", "5", "--out", str(root / out),
+                    "--set", "data.family=B", "--set", "data.val_count=2"]
+
+        def second(out):
+            return ["gen-data", "--config", ws["cfg"], "--seed", "6", "--out", str(root / out)]
+
+        lone = []
+        for argv in (first("lone1"), second("lone2")):
+            cli.build_parser.cache_clear()
+            lone.append(self._run(argv, monkeypatch))
+        cli.build_parser.cache_clear()
+        got = [self._run(first("run1"), monkeypatch), self._run(second("run2"), monkeypatch)]
+        assert cli.build_parser.cache_info().misses == 1
+
+        assert got[0].data.family == "B" and got[1].data.family == "A"
+        for i, (want, cfg) in enumerate(zip(lone, got), start=1):
+            assert replace(cfg, out_dir=want.out_dir) == want
+            assert _tree(root / f"run{i}") == _tree(root / f"lone{i}")
+
+    def test_repeated_rollout_writes_identical_bytes(self, ws, capsys):
+        image = next((ws["out"] / "images" / "test").glob("*.pgm"))
+        out = ws["root"] / "rollout_twice"
+        argv = ["rollout", str(image), "--config", ws["cfg"], "--out", str(out),
+                "--set", f"run.weights_in={ws['out'] / 'weights.bolf'}"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            runs.append((capsys.readouterr().out, _tree(out)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 2
+
+
+def _damage(data, blob: bytes) -> bytes:
+    """Arbitrary bytes, a truncation or a single-byte flip of ``blob``."""
+    kind = data.draw(st.sampled_from(["bytes", "cut", "flip"]))
+    if kind == "bytes":
+        return data.draw(st.binary(max_size=64))
+    if kind == "cut":
+        return blob[:data.draw(st.integers(0, len(blob) - 1))]
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    return bytes(flipped)
+
+
+class TestDamagedInputs:
+    """Damaged weights or images end in EXIT_DATA through main, never in a
+    traceback."""
+
+    @staticmethod
+    def _rollout(ws, image, weights):
+        return main(["rollout", str(image), "--config", ws["cfg"],
+                     "--out", str(ws["root"] / "fuzz_out"),
+                     "--set", f"run.weights_in={weights}"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_weights(self, ws, data):
+        path = ws["root"] / "fuzz.bolf"
+        path.write_bytes(_damage(data, (ws["out"] / "weights.bolf").read_bytes()))
+        image = next((ws["out"] / "images" / "test").glob("*.pgm"))
+        assert self._rollout(ws, image, path) == EXIT_DATA
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_image(self, ws, data):
+        image = next((ws["out"] / "images" / "test").glob("*.pgm"))
+        path = ws["root"] / "fuzz.pgm"
+        path.write_bytes(_damage(data, image.read_bytes()))
+        code = self._rollout(ws, path, ws["out"] / "weights.bolf")
+        try:
+            shape = read_ppm(path).shape
+        except FormatError:
+            shape = None
+        assert code == (EXIT_OK if shape == (16, 16, 1) else EXIT_DATA)

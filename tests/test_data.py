@@ -7,6 +7,7 @@ to the header encoding fails loudly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bolf.data import (
     FAMILIES,
@@ -101,6 +102,35 @@ class TestNetpbmIO:
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             read_ppm(path)
+
+    @staticmethod
+    def _read_or_reject(path, blob: bytes) -> None:
+        path.write_bytes(blob)
+        try:
+            pixels = read_ppm(path)
+        except FormatError:
+            return
+        assert pixels.ndim == 3 and pixels.shape[2] in (1, 3)
+        assert pixels.min() >= 0.0 and pixels.max() <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.one_of(st.binary(max_size=64),
+                          st.binary(max_size=48).map(lambda b: b"P5" + b),
+                          st.binary(max_size=48).map(lambda b: b"P6\n" + b)))
+    def test_fuzzed_bytes_decode_or_raise_format_error(self, tmp_path_factory, blob):
+        self._read_or_reject(tmp_path_factory.getbasetemp() / "fuzzed.pgm", blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_truncations_and_flips(self, tmp_path_factory, data):
+        blob = b"P6\n# c\n3 2\n255\n" + bytes(range(18))
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ppm"
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(FormatError):
+            read_ppm(path)
+        flipped = bytearray(blob)
+        flipped[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        self._read_or_reject(path, bytes(flipped))
 
 
 class TestOriginals:
@@ -357,6 +387,37 @@ class TestManifest:
                 assert np.abs(b.pixels - s.pixels).max() <= 0.5 / 255.0 + 1e-12
         assert loaded.spec.height == tiny_spec.height
 
+    def test_reads_images_of_requested_splits_only(self, tiny_splits, tiny_spec,
+                                                   tmp_path, monkeypatch):
+        import bolf.data
+        manifest = write_dataset(tiny_splits, tmp_path / "corpus")
+        full = load_manifest(manifest)
+        reads = []
+        real_read = bolf.data.read_ppm
+
+        def counted_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(bolf.data, "read_ppm", counted_read)
+        part = load_manifest(manifest, ("val",))
+        assert len(reads) == len(tiny_splits.val)
+        assert part.train == [] and part.test == []
+        assert [(s.video_id, s.frame_idx) for s in part.val] == \
+               [(s.video_id, s.frame_idx) for s in full.val]
+        assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(part.val, full.val))
+        # the spec still counts every row of the manifest
+        assert part.spec == full.spec
+        assert (part.spec.train_count, part.spec.test_count) == \
+               (tiny_spec.train_count, tiny_spec.test_count)
+
+    def test_no_splits_still_reads_the_geometry(self, tiny_splits, tmp_path):
+        manifest = write_dataset(tiny_splits, tmp_path / "corpus")
+        spec = load_manifest(manifest, ()).spec
+        assert (spec.height, spec.width, spec.channels) == (16, 16, 1)
+        with pytest.raises(ValueError):
+            load_manifest(manifest, ("holdout",))
+
     def test_rewrite_is_byte_identical(self, tiny_splits, tmp_path):
         first = write_dataset(tiny_splits, tmp_path / "c")
         blob = first.read_bytes()
@@ -406,6 +467,20 @@ class TestManifest:
         path = self._write_row(tmp_path, f"{rel},0,v,0,A,holdout")
         with pytest.raises(FormatError):
             load_manifest(path)
+
+    def test_bad_frame_index_rejected(self, tmp_path, tiny_splits):
+        write_dataset(tiny_splits, tmp_path)
+        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        path = self._write_row(tmp_path, f"{rel},0,v,x1,A,train")
+        with pytest.raises(FormatError, match="frame index"):
+            load_manifest(path)
+
+    def test_rows_of_unread_splits_are_still_validated(self, tmp_path, tiny_splits):
+        write_dataset(tiny_splits, tmp_path)
+        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        path = self._write_row(tmp_path, f"{rel},2,v,0,A,train")
+        with pytest.raises(FormatError):
+            load_manifest(path, ("test",))
 
     def test_short_row_rejected(self, tmp_path):
         path = self._write_row(tmp_path, "x,0,v,0,A")

@@ -170,3 +170,13 @@ class TestAucProperties:
         scores = [s / 20.0 for s, _ in items]
         labels = [int(l) for _, l in items]
         assert 0.0 <= roc_auc(_scored(scores, labels)) <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 20), max_size=60))
+    def test_tied_ranks_are_scipy_average_ranks(self, values):
+        from scipy.stats import rankdata
+
+        from bolf.metrics import _tied_ranks
+
+        values = np.asarray(values, dtype=np.float64) / 20.0
+        assert np.array_equal(_tied_ranks(values), rankdata(values, method="average"))

@@ -175,6 +175,17 @@ class TestParams:
         with pytest.raises(ValueError, match="shape"):
             ModelParams.from_arrays(cfg, bad)
 
+    def test_from_arrays_builds_no_throwaway_model(self, tiny_model_cfg, monkeypatch):
+        import bolf.model
+        arrays = {name: t.data for name, t in init_params(tiny_model_cfg, seed=0).named()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_arrays must not initialize a model")
+
+        monkeypatch.setattr(bolf.model, "init_params", refuse)
+        rebuilt = ModelParams.from_arrays(tiny_model_cfg, arrays, requires_grad=False)
+        assert [name for name, _ in rebuilt.named()] == list(arrays)
+
 
 class TestForward:
     def test_logit_shape_and_determinism(self, tiny_model_cfg):

@@ -9,6 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bolf.model import ModelConfig, ModelParams, init_params
 from bolf.weights import (
@@ -34,6 +35,59 @@ def named():
 def _reseal(blob: bytes) -> bytes:
     """Recompute the trailing checksum after editing a body."""
     return blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+
+
+def _reference_load(path) -> dict[str, np.ndarray]:
+    """The tensor-by-tensor decoder the one-pass load_weights replaced,
+    kept as its reference."""
+    data = path.read_bytes()
+    if len(data) < len(MAGIC) + 12:
+        raise WeightsError("too short")
+    if data[:4] != MAGIC:
+        raise WeightsError("bad magic")
+    if struct.unpack_from("<I", data, len(data) - 4)[0] != zlib.crc32(data[:-4]):
+        raise WeightsError("checksum mismatch")
+    version, count = struct.unpack_from("<II", data, 4)
+    if version != VERSION:
+        raise WeightsError("unsupported format version")
+    pos = 12
+    end = len(data) - 4
+
+    def need(n: int):
+        if pos + n > end:
+            raise WeightsError("truncated weights file")
+
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        need(4)
+        (name_len,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        need(name_len)
+        name = data[pos:pos + name_len].decode("utf-8")
+        pos += name_len
+        need(4)
+        (rank,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        need(8 * rank)
+        dims = struct.unpack_from(f"<{rank}Q", data, pos) if rank else ()
+        pos += 8 * rank
+        n_vals = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        need(4 * n_vals)
+        arr = np.frombuffer(data, dtype="<f4", count=n_vals, offset=pos).reshape(dims)
+        pos += 4 * n_vals
+        if name in out:
+            raise WeightsError(f"duplicate tensor name {name!r}")
+        out[name] = arr.copy()
+    if pos != end:
+        raise WeightsError("trailing bytes")
+    return out
+
+
+def _assert_same_tensors(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == np.float32 and got[name].shape == want[name].shape
+        assert got[name].tobytes() == want[name].tobytes()
 
 
 class TestRoundtrip:
@@ -80,6 +134,99 @@ class TestRoundtrip:
         quantized = roundtrip_f32({n: t.data for n, t in params.named()})
         for name, tensor in rebuilt.named():
             assert np.array_equal(tensor.data, quantized[name])
+
+
+class TestDecoder:
+    def test_matches_reference_on_default_model(self, tmp_path):
+        path = tmp_path / "model.bolf"
+        params = init_params(ModelConfig(), seed=0)
+        save_weights(path, {n: t.data for n, t in params.named()})
+        got = load_weights(path)
+        _assert_same_tensors(got, _reference_load(path))
+        assert list(got) == [name for name, _ in params.named()]
+        for arr in got.values():
+            assert arr.flags.writeable and arr.flags.owndata
+
+    def test_bad_utf8_name_is_weights_error(self, tmp_path):
+        entry = struct.pack("<I", 1) + b"\xff" + struct.pack("<I", 0) + \
+            np.float32(1.0).tobytes()
+        path = tmp_path / "w.bolf"
+        path.write_bytes(_reseal(MAGIC + struct.pack("<II", VERSION, 1) + entry))
+        with pytest.raises(WeightsError, match="bad tensor entry"):
+            load_weights(path)
+
+    def test_unrepresentable_shape_is_weights_error(self, tmp_path):
+        # a zero dim makes the payload empty, so the file is not short,
+        # but no array can have a second dim of 2**63
+        entry = struct.pack("<I", 1) + b"x" + struct.pack("<I", 2) + \
+            struct.pack("<2Q", 0, 2 ** 63)
+        path = tmp_path / "w.bolf"
+        path.write_bytes(_reseal(MAGIC + struct.pack("<II", VERSION, 1) + entry))
+        with pytest.raises(WeightsError, match="bad tensor entry"):
+            load_weights(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid_blob(fuzz_dir):
+    rng = np.random.default_rng(1)
+    path = fuzz_dir / "valid.bolf"
+    save_weights(path, {"alpha": rng.normal(size=(3, 4)), "layer0.wq": rng.normal(size=(2, 2)),
+                        "gamma": np.array(2.5)})
+    return path.read_bytes()
+
+
+class TestFuzz:
+    """Whatever the bytes, load_weights returns tensors or raises
+    WeightsError; resealed bodies also reach the parser past the checksum."""
+
+    def _load(self, fuzz_dir, blob: bytes):
+        path = fuzz_dir / "fuzzed.bolf"
+        path.write_bytes(blob)
+        try:
+            return load_weights(path)
+        except WeightsError:
+            return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.binary(max_size=96))
+    def test_arbitrary_bytes(self, fuzz_dir, blob):
+        self._load(fuzz_dir, blob)
+        self._load(fuzz_dir, _reseal(MAGIC + struct.pack("<I", VERSION) + blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncations_and_byte_flips(self, fuzz_dir, valid_blob, data):
+        cut = data.draw(st.integers(0, len(valid_blob) - 1))
+        assert self._load(fuzz_dir, valid_blob[:cut]) is None
+        at = data.draw(st.integers(0, len(valid_blob) - 1))
+        flipped = bytearray(valid_blob)
+        flipped[at] ^= data.draw(st.integers(1, 255))
+        assert self._load(fuzz_dir, bytes(flipped)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_resealed_edits_agree_with_reference(self, fuzz_dir, valid_blob, data):
+        body = bytearray(valid_blob[:-4])
+        at = data.draw(st.integers(4, len(body) - 1))
+        body[at] ^= data.draw(st.integers(1, 255))
+        body = body[:data.draw(st.integers(12, len(body)))]
+        path = fuzz_dir / "resealed.bolf"
+        path.write_bytes(_reseal(bytes(body)))
+        got = self._load(fuzz_dir, path.read_bytes())
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # its int64 dims product
+                want = _reference_load(path)
+        except ValueError:  # WeightsError, or what the old decoder let escape
+            want = None
+        if want is None:
+            assert got is None
+        else:
+            _assert_same_tensors(got, want)
 
 
 class TestCorruption:
