@@ -39,30 +39,7 @@ from .model import (
     heatmap_to_image,
     init_params,
 )
-from .tensor import (
-    NumericError,
-    ShapeMismatch,
-    Tensor,
-    add,
-    concat,
-    dropout,
-    exp,
-    gelu,
-    grad_check,
-    layer_norm,
-    log,
-    matmul,
-    mean_all,
-    mul,
-    narrow,
-    neg,
-    reshape,
-    softmax_rows,
-    sub,
-    sum_all,
-    take,
-    transpose,
-)
+from .tensor import NumericError, ShapeMismatch, grad_check, primitive_checks
 from .train import cross_entropy, evaluate, fake_score, score_samples, train
 from .weights import WeightsError, load_weights, save_weights
 
@@ -268,52 +245,8 @@ def cmd_rollout(cfg: RunConfig, image_path: str) -> int:
     return EXIT_OK
 
 
-def _primitive_checks() -> list[tuple[str, object, np.ndarray]]:
-    """(name, scalar-valued f, probe point) for every tape primitive."""
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(5, 7))
-    b = Tensor(rng.normal(size=(5, 7)))
-    m = Tensor(rng.normal(size=(7, 4)))
-    w57 = Tensor(rng.normal(size=(5, 7)))
-    w75 = Tensor(rng.normal(size=(7, 5)))
-    w35 = Tensor(rng.normal(size=(35,)))
-    w53 = Tensor(rng.normal(size=(5, 3)))
-    w107 = Tensor(rng.normal(size=(10, 7)))
-    gamma = Tensor(rng.normal(size=(7,)))
-    beta = Tensor(rng.normal(size=(7,)))
-    pos = np.abs(rng.normal(size=(5, 7))) + 0.5
-    vec = rng.normal(size=(7,))
-
-    def fixed_dropout(t):
-        return sum_all(mul(dropout(t, 0.5, np.random.default_rng(7), True), w57))
-
-    return [
-        ("add", lambda t: sum_all(mul(add(t, b), w57)), a),
-        ("sub", lambda t: sum_all(mul(sub(t, b), w57)), a),
-        ("mul", lambda t: sum_all(mul(mul(t, b), w57)), a),
-        ("neg", lambda t: sum_all(mul(neg(t), w57)), a),
-        ("matmul", lambda t: sum_all(matmul(t, m)), a),
-        ("transpose", lambda t: sum_all(mul(transpose(t), w75)), a),
-        ("reshape", lambda t: sum_all(mul(reshape(t, (35,)), w35)), a),
-        ("narrow", lambda t: sum_all(mul(narrow(t, 1, 2, 3), w53)), a),
-        ("concat", lambda t: sum_all(mul(concat([t, b], 0), w107)), a),
-        ("take", lambda t: mul(take(t, 3), take(t, 5)), vec),
-        ("sum_all", lambda t: sum_all(t), a),
-        ("mean_all", lambda t: mean_all(t), a),
-        ("exp", lambda t: sum_all(mul(exp(t), w57)), 0.3 * a),
-        ("log", lambda t: sum_all(mul(log(t), w57)), pos),
-        ("softmax_rows", lambda t: sum_all(mul(softmax_rows(t), w57)), a),
-        ("layer_norm", lambda t: sum_all(mul(layer_norm(t, gamma, beta), w57)), a),
-        ("layer_norm_gamma", lambda t: sum_all(mul(layer_norm(b, t, beta), w57)), vec),
-        ("layer_norm_beta", lambda t: sum_all(mul(layer_norm(b, gamma, t), w57)), vec),
-        ("gelu", lambda t: sum_all(mul(gelu(t), w57)), a),
-        ("dropout", fixed_dropout, a),
-        ("cross_entropy", lambda t: cross_entropy(t, 1), rng.normal(size=(2,))),
-    ]
-
-
 def cmd_gradcheck(cfg: RunConfig) -> int:
-    checks = _primitive_checks()
+    checks = primitive_checks()
 
     # Probe the model loss at a 0.25-scaled init: central differences at
     # the fixed step need the quadratic regime, and at the full training

@@ -427,7 +427,8 @@ def read_ppm(path) -> np.ndarray:
     """Read a binary PPM/PGM written by :func:`write_ppm` (or compatible).
 
     Returns (H, W, C) floats in [0, 1]. ASCII variants (P3/P2), other
-    magics, maxval != 255, and truncated payloads are format errors.
+    magics, maxval != 255, and a payload shorter or longer than the header
+    declares are format errors.
     """
     data = Path(path).read_bytes()
     magic = data[:2]
@@ -448,9 +449,10 @@ def read_ppm(path) -> np.ndarray:
         raise FormatError(f"unsupported maxval {maxval}; only 255 is accepted")
     pos += 1  # single whitespace byte after maxval
     expected = h * w * channels
-    payload = data[pos:pos + expected]
+    payload = data[pos:]
     if len(payload) != expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
+        problem = "truncated" if len(payload) < expected else "oversized"
+        raise FormatError(f"{problem} payload: expected {expected} bytes, got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
     return arr.astype(np.float64) / 255.0
 
@@ -495,7 +497,8 @@ def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSpli
 
     Every row is validated and counts toward the spec, but images are read
     only for the requested ``splits``; the other splits come back empty.
-    Tamper masks are not persisted, so loaded fakes carry mask None.
+    All rows must name the same, known family. Tamper masks are not
+    persisted, so loaded fakes carry mask None.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -507,7 +510,7 @@ def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSpli
             raise ValueError(f"unknown split {name!r}")
     counts = dict.fromkeys(loaded, 0)
     first_rel = None
-    family = "A"
+    families = set()
     with open(manifest_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -525,6 +528,11 @@ def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSpli
                 frame = int(frame_idx)
             except ValueError:
                 raise FormatError(f"bad frame index {frame_idx!r} in manifest") from None
+            if family not in FAMILIES:
+                raise FormatError(f"unknown family {family!r} in manifest")
+            families.add(family)
+            if len(families) > 1:
+                raise FormatError(f"manifest mixes families {sorted(families)}")
             counts[split] += 1
             if first_rel is None:
                 first_rel = rel

@@ -6,8 +6,11 @@ with kernel = stride = patch size), a learned class token is prepended
 and learned position embeddings added. A stack of pre-norm encoder
 blocks (multi-head self-attention + MLP, each with a residual
 connection) mixes patch information; the classifier reads only the
-class-token row. Per-head attention matrices are recorded so the
-decision can be attributed back to patches via attention rollout.
+class-token row. Everything after the last block's attention is
+row-wise, so that block's MLP and the final layer norm run on the
+class-token row alone. Per-head attention matrices are recorded whole,
+for every token of every layer, so the decision can be attributed back
+to patches via attention rollout.
 """
 
 from __future__ import annotations
@@ -315,15 +318,21 @@ def multi_head_attention(z: Tensor, layer: LayerParams,
 
 def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
                   train: bool = False,
-                  rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+                  rng: np.random.Generator | None = None,
+                  cls_only: bool = False) -> tuple[Tensor, Tensor]:
     """Pre-norm block: attention then MLP, each wrapped in a residual.
 
     The MLP is linear -> GELU -> dropout -> linear; dropout only acts in
-    train mode.
+    train mode. With ``cls_only`` the attention still mixes every token
+    and returns every row of its matrices, but the MLP runs on the
+    class-token row only, and the block returns that ([batch,] 1, dim)
+    row: the MLP is row-wise, so the row is the one the full block gives.
     """
     attended, attn = multi_head_attention(
         layer_norm(z, layer.ln1_gamma, layer.ln1_beta), layer, config.heads)
     z = attended + z
+    if cls_only:
+        z = narrow(z, z.ndim - 2, 0, 1)
     h = matmul(layer_norm(z, layer.ln2_gamma, layer.ln2_beta), layer.mlp_w1) + layer.mlp_b1
     h = dropout(gelu(h), config.dropout, rng, training=train)
     return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attn
@@ -364,6 +373,9 @@ def forward(images, params: ModelParams, config: ModelConfig,
             ) -> tuple[Tensor, AttentionRecord | list[AttentionRecord]]:
     """Full pass: standardize, patchify, embed, encoder stack, final layer
     norm, then a fully-connected classifier on the class-token row only.
+    The classifier needs no other row, so the last block narrows to the
+    class-token row once its attention residual is added: its MLP and the
+    final layer norm run on that row alone.
 
     ``images`` is a (batch, height, width, channels) stack, which moves
     through every layer as one (batch, tokens, dim) tensor and gives
@@ -379,7 +391,9 @@ def forward(images, params: ModelParams, config: ModelConfig,
     train mode ``rng`` draws every dropout mask of the batch in one call,
     image by image, so each image gets the masks it would get in a pass
     over the images one at a time: the random stream, and hence training,
-    does not depend on how the images are batched.
+    does not depend on how the images are batched. The last block takes
+    only the class-token row of its uniforms, the same ones that row drew
+    when that block's MLP ran on every token.
     """
     pixels = np.asarray(images, dtype=DTYPE)
     single = pixels.ndim == 3
@@ -392,14 +406,15 @@ def forward(images, params: ModelParams, config: ModelConfig,
         if rng is None:
             raise ValueError("train-mode forward needs an rng when dropout > 0")
         noise = rng.random((batch, config.depth, tokens, config.mlp_ratio * config.dim))
-        layer_rngs = [_Drawn(layer_noise) for layer_noise in noise.swapaxes(0, 1)]
+        layer_rngs = [_Drawn(noise[:, i]) for i in range(config.depth - 1)]
+        layer_rngs.append(_Drawn(noise[:, -1, :1]))  # the last block's class row
         del noise  # freed once the last layer has taken its uniforms
     recorded = []
-    for layer, layer_rng in zip(params.layers, layer_rngs):
-        z, attn = encoder_block(z, layer, config, train=train, rng=layer_rng)
+    for i, (layer, layer_rng) in enumerate(zip(params.layers, layer_rngs)):
+        z, attn = encoder_block(z, layer, config, train=train, rng=layer_rng,
+                                cls_only=i == config.depth - 1)
         recorded.append(attn.data)
-    z = layer_norm(z, params.ln_f_gamma, params.ln_f_beta)
-    cls_rows = narrow(z, 1, 0, 1)
+    cls_rows = layer_norm(z, params.ln_f_gamma, params.ln_f_beta)
     logits = reshape(matmul(cls_rows, params.fc_w) + params.fc_b,
                      (config.num_classes,) if single else (batch, config.num_classes))
     records = [AttentionRecord([attn[b] for attn in recorded]) for b in range(batch)]

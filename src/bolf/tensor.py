@@ -9,7 +9,8 @@ backward passes before clearing grads sums their contributions.
 
 :func:`grad_check` is the independent oracle: central finite differences
 on a sampled subset of coordinates, compared against the tape's
-analytic gradient.
+analytic gradient. :func:`primitive_checks` is the table of probes it
+runs on every primitive.
 """
 
 from __future__ import annotations
@@ -638,3 +639,50 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-3,
         worst_analytic=worst_a,
         worst_numeric=worst_n,
     )
+
+
+def primitive_checks() -> list[tuple[str, object, np.ndarray]]:
+    """(name, scalar-valued f, probe point) for every tape primitive, and
+    for the cross-entropy loss built from them, for :func:`grad_check`."""
+    from .train import cross_entropy  # bolf.train imports this module
+
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(5, 7))
+    b = Tensor(rng.normal(size=(5, 7)))
+    m = Tensor(rng.normal(size=(7, 4)))
+    w57 = Tensor(rng.normal(size=(5, 7)))
+    w75 = Tensor(rng.normal(size=(7, 5)))
+    w35 = Tensor(rng.normal(size=(35,)))
+    w53 = Tensor(rng.normal(size=(5, 3)))
+    w107 = Tensor(rng.normal(size=(10, 7)))
+    gamma = Tensor(rng.normal(size=(7,)))
+    beta = Tensor(rng.normal(size=(7,)))
+    pos = np.abs(rng.normal(size=(5, 7))) + 0.5
+    vec = rng.normal(size=(7,))
+
+    def fixed_dropout(t):
+        return sum_all(mul(dropout(t, 0.5, np.random.default_rng(7), True), w57))
+
+    return [
+        ("add", lambda t: sum_all(mul(add(t, b), w57)), a),
+        ("sub", lambda t: sum_all(mul(sub(t, b), w57)), a),
+        ("mul", lambda t: sum_all(mul(mul(t, b), w57)), a),
+        ("neg", lambda t: sum_all(mul(neg(t), w57)), a),
+        ("matmul", lambda t: sum_all(matmul(t, m)), a),
+        ("transpose", lambda t: sum_all(mul(transpose(t), w75)), a),
+        ("reshape", lambda t: sum_all(mul(reshape(t, (35,)), w35)), a),
+        ("narrow", lambda t: sum_all(mul(narrow(t, 1, 2, 3), w53)), a),
+        ("concat", lambda t: sum_all(mul(concat([t, b], 0), w107)), a),
+        ("take", lambda t: mul(take(t, 3), take(t, 5)), vec),
+        ("sum_all", lambda t: sum_all(t), a),
+        ("mean_all", lambda t: mean_all(t), a),
+        ("exp", lambda t: sum_all(mul(exp(t), w57)), 0.3 * a),
+        ("log", lambda t: sum_all(mul(log(t), w57)), pos),
+        ("softmax_rows", lambda t: sum_all(mul(softmax_rows(t), w57)), a),
+        ("layer_norm", lambda t: sum_all(mul(layer_norm(t, gamma, beta), w57)), a),
+        ("layer_norm_gamma", lambda t: sum_all(mul(layer_norm(b, t, beta), w57)), vec),
+        ("layer_norm_beta", lambda t: sum_all(mul(layer_norm(b, gamma, t), w57)), vec),
+        ("gelu", lambda t: sum_all(mul(gelu(t), w57)), a),
+        ("dropout", fixed_dropout, a),
+        ("cross_entropy", lambda t: cross_entropy(t, 1), rng.normal(size=(2,))),
+    ]

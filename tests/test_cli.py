@@ -249,7 +249,7 @@ class TestGradcheckCommand:
             return [("broken", lambda t: sum_all(mul(Tensor(t.data), b)),
                      np.ones((2, 2)))]
 
-        monkeypatch.setattr(cli, "_primitive_checks", broken)
+        monkeypatch.setattr(cli, "primitive_checks", broken)
         code = main(["gradcheck"])
         assert code == EXIT_NUMERIC
         captured = capsys.readouterr()

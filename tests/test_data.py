@@ -103,6 +103,22 @@ class TestNetpbmIO:
         with pytest.raises(FormatError):
             read_ppm(path)
 
+    def test_width_digit_flip_is_rejected(self, tmp_path):
+        # a 3x2 file whose width digit became 1 would decode as a 1x2 image
+        # from the first 6 of its 18 payload bytes
+        path = tmp_path / "flip.ppm"
+        path.write_bytes(b"P6\n1 2\n255\n" + bytes(range(18)))
+        with pytest.raises(FormatError, match="oversized payload"):
+            read_ppm(path)
+
+    def test_trailing_byte_is_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        write_ppm(path, np.zeros((2, 3, 1)))
+        assert read_ppm(path).shape == (2, 3, 1)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="expected 6 bytes, got 7"):
+            read_ppm(path)
+
     @staticmethod
     def _read_or_reject(path, blob: bytes) -> None:
         path.write_bytes(blob)
@@ -481,6 +497,23 @@ class TestManifest:
         path = self._write_row(tmp_path, f"{rel},2,v,0,A,train")
         with pytest.raises(FormatError):
             load_manifest(path, ("test",))
+
+    def test_mixed_families_rejected(self, tmp_path, tiny_splits):
+        manifest = write_dataset(tiny_splits, tmp_path)
+        lines = manifest.read_text().splitlines()
+        last = lines[-1].split(",")
+        assert last[4] == "A"
+        last[4] = "B"
+        manifest.write_text("\n".join(lines[:-1] + [",".join(last)]) + "\n")
+        with pytest.raises(FormatError, match="mixes families"):
+            load_manifest(manifest)
+
+    def test_unknown_family_rejected(self, tmp_path, tiny_splits):
+        write_dataset(tiny_splits, tmp_path)
+        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        path = self._write_row(tmp_path, f"{rel},0,v,0,C,train")
+        with pytest.raises(FormatError, match="unknown family"):
+            load_manifest(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = self._write_row(tmp_path, "x,0,v,0,A")

@@ -22,7 +22,8 @@ from bolf.model import (
     scaled_dot_attention,
     unpatchify,
 )
-from bolf.tensor import ShapeMismatch, Tape, Tensor, backward
+from bolf.tensor import (ShapeMismatch, Tape, Tensor, backward, layer_norm, matmul, narrow,
+                         reshape)
 from bolf.train import cross_entropy
 
 
@@ -314,6 +315,96 @@ class TestBatchedForward:
         for image, patches in zip(images, bag.patches.data):
             assert np.array_equal(patches, patchify(image, tiny_model_cfg).patches.data)
         assert np.array_equal(unpatchify(bag), images)
+
+
+class _Uniforms:
+    """A generator stand-in whose one ``random`` call returns given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, shape):
+        assert self.values.shape == tuple(shape)
+        return self.values
+
+
+class TestClassRowOnlyLastBlock:
+    """forward runs the last block's MLP and the final layer norm on the
+    class-token row only. The reference below runs every block on every
+    row and narrows after the final layer norm; both must agree, and in
+    train mode the class row must get the dropout mask it got before."""
+
+    @staticmethod
+    def _full_rows(images, params, cfg, rng=None):
+        """(batch, num_classes) logits and per-layer attention stacks with
+        every block on every row; train mode when rng is given."""
+        z = embed_patches(patchify((images - 0.5) / 0.5, cfg), params)
+        noise = None if rng is None else rng.random(
+            (len(images), cfg.depth, z.shape[1], cfg.mlp_ratio * cfg.dim))
+        recorded = []
+        for i, layer in enumerate(params.layers):
+            layer_rng = None if noise is None else _Uniforms(noise[:, i])
+            z, attn = encoder_block(z, layer, cfg, train=rng is not None, rng=layer_rng)
+            recorded.append(attn.data)
+        z = narrow(layer_norm(z, params.ln_f_gamma, params.ln_f_beta), 1, 0, 1)
+        logits = matmul(z, params.fc_w) + params.fc_b
+        return reshape(logits, (len(images), cfg.num_classes)), recorded
+
+    def test_eval_logits_and_attention_match_full_rows(self):
+        cfg = ModelConfig()
+        params = init_params(cfg, seed=1)
+        images = np.stack([_image(cfg, seed=s) for s in range(5)])
+        logits, records = forward(images, params, cfg)
+        ref_logits, ref_attn = self._full_rows(images, params, cfg)
+        # the class row goes through the same products either way, so with
+        # OpenBLAS the logits agree bit for bit
+        assert np.max(np.abs(logits.data - ref_logits.data)) <= 1e-12
+        for b, record in enumerate(records):
+            assert record.depth == cfg.depth
+            for heads, ref in zip(record.layers, ref_attn):
+                assert np.array_equal(heads, ref[b])
+        # a batch of one makes the last MLP's products one row long, which
+        # BLAS may sum in another order (a matrix-vector kernel)
+        one, record = forward(images[0], params, cfg)
+        assert np.max(np.abs(one.data - ref_logits.data[0])) <= 1e-12
+        for heads, ref in zip(record.layers, ref_attn):
+            assert np.array_equal(heads, ref[0])
+
+    def test_train_logits_gradients_and_stream_match_full_rows(self):
+        cfg = ModelConfig(height=16, width=16, channels=1, patch_size=4, dim=16,
+                          depth=2, heads=2, mlp_ratio=2, dropout=0.1)
+        params = init_params(cfg, seed=3)
+        images = np.stack([_image(cfg, seed=s) for s in range(4)])
+        labels = np.array([0, 1, 1, 0])
+
+        def run(pass_fn):
+            for t in params.tensors():
+                t.zero_grad()
+            rng = np.random.default_rng(7)
+            with Tape() as tape:
+                logits = pass_fn(rng)
+                loss = cross_entropy(logits, labels)
+            backward(loss, tape)
+            grads = {name: t.grad.copy() for name, t in params.named()}
+            return logits.data, grads, rng.random(8)
+
+        logits, grads, next_draw = run(
+            lambda rng: forward(images, params, cfg, train=True, rng=rng)[0])
+        ref_logits, ref_grads, ref_next = run(
+            lambda rng: self._full_rows(images, params, cfg, rng)[0])
+        assert np.max(np.abs(logits - ref_logits)) <= 1e-12
+        for name, grad in grads.items():
+            assert np.max(np.abs(grad - ref_grads[name])) <= 1e-12, name
+        assert np.array_equal(next_draw, ref_next)
+
+    def test_cls_only_block_returns_the_class_row(self, tiny_model_cfg):
+        params = init_params(tiny_model_cfg, seed=0)
+        z = Tensor(np.random.default_rng(2).normal(size=(3, 5, tiny_model_cfg.dim)))
+        full, full_attn = encoder_block(z, params.layers[0], tiny_model_cfg)
+        row, attn = encoder_block(z, params.layers[0], tiny_model_cfg, cls_only=True)
+        assert row.shape == (3, 1, tiny_model_cfg.dim)
+        assert np.array_equal(attn.data, full_attn.data)
+        assert np.max(np.abs(row.data - full.data[:, :1])) <= 1e-12
 
 
 class TestAttentionOracle:
