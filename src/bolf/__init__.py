@@ -18,7 +18,7 @@ from .train import (EpochStats, MomentumSGD, NonFiniteLoss, TrainConfig,
 from .data import (DatasetSpec, DatasetSplits, FormatError, ImageSample,
                    PerturbationSpec, build_dataset, gen_manipulated, gen_original,
                    load_manifest, perturb, read_ppm, write_dataset, write_ppm)
-from .weights import WeightsError, load_weights, roundtrip_f32, save_weights
+from .weights import WeightsError, load_weights, save_weights
 from .config import ConfigError, RunConfig, load_config, serialize
 
 __version__ = "0.1.0"
@@ -36,6 +36,6 @@ __all__ = [
     "DatasetSpec", "DatasetSplits", "ImageSample", "PerturbationSpec",
     "FormatError", "build_dataset", "gen_original", "gen_manipulated",
     "perturb", "read_ppm", "write_ppm", "write_dataset", "load_manifest",
-    "WeightsError", "save_weights", "load_weights", "roundtrip_f32",
+    "WeightsError", "save_weights", "load_weights",
     "ConfigError", "RunConfig", "load_config", "serialize",
 ]

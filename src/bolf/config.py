@@ -11,6 +11,7 @@ takes its input geometry from there, so the two can never disagree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,13 +61,13 @@ ALL_KEYS = tuple(f"{sec}.{name}" for sec, table in _SECTIONS.items() for name in
 
 def _convert(key: str, value: str, typ: type):
     try:
-        if typ is int:
-            return int(value)
-        if typ is float:
-            return float(value)
-        return value
+        converted = typ(value)  # int, float or str
     except ValueError:
         raise ConfigError(f"key {key}: expected {typ.__name__}, got {value!r}") from None
+    # nan would pass every range check silently (nan > 0.0 is False)
+    if typ is float and not math.isfinite(converted):
+        raise ConfigError(f"key {key}: expected a finite float, got {value!r}")
+    return converted
 
 
 def parse_text(text: str) -> dict[str, str]:

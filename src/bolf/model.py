@@ -317,16 +317,17 @@ def multi_head_attention(z: Tensor, layer: LayerParams,
 
 
 def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
-                  train: bool = False,
-                  rng: np.random.Generator | None = None,
+                  noise: np.ndarray | None = None,
                   cls_only: bool = False) -> tuple[Tensor, Tensor]:
     """Pre-norm block: attention then MLP, each wrapped in a residual.
 
-    The MLP is linear -> GELU -> dropout -> linear; dropout only acts in
-    train mode. With ``cls_only`` the attention still mixes every token
-    and returns every row of its matrices, but the MLP runs on the
-    class-token row only, and the block returns that ([batch,] 1, dim)
-    row: the MLP is row-wise, so the row is the one the full block gives.
+    The MLP is linear -> GELU -> dropout -> linear. ``noise`` holds the
+    dropout uniforms, one per hidden unit of the rows the MLP runs on;
+    ``None`` (eval mode) skips dropout. With ``cls_only`` the attention
+    still mixes every token and returns every row of its matrices, but the
+    MLP runs on the class-token row only, and the block returns that
+    ([batch,] 1, dim) row: the MLP is row-wise, so the row is the one the
+    full block gives.
     """
     attended, attn = multi_head_attention(
         layer_norm(z, layer.ln1_gamma, layer.ln1_beta), layer, config.heads)
@@ -334,7 +335,7 @@ def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
     if cls_only:
         z = narrow(z, z.ndim - 2, 0, 1)
     h = matmul(layer_norm(z, layer.ln2_gamma, layer.ln2_beta), layer.mlp_w1) + layer.mlp_b1
-    h = dropout(gelu(h), config.dropout, rng, training=train)
+    h = dropout(gelu(h), config.dropout, noise)
     return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attn
 
 
@@ -351,20 +352,6 @@ class AttentionRecord:
     @property
     def heads(self) -> int:
         return len(self.layers[0]) if self.layers else 0
-
-
-class _Drawn:
-    """Stands in for a generator whose uniforms were drawn beforehand: its
-    one ``random`` call hands them over and lets go of them."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def random(self, shape) -> np.ndarray:
-        values, self.values = self.values, None
-        if values is None or values.shape != tuple(shape):
-            raise ShapeMismatch(f"no drawn uniforms of shape {tuple(shape)} left")
-        return values
 
 
 def forward(images, params: ModelParams, config: ModelConfig,
@@ -388,12 +375,13 @@ def forward(images, params: ModelParams, config: ModelConfig,
     of every patch dwarfs the content the encoder should attend to.
 
     Eval mode (train=False) is a pure function of images and params. In
-    train mode ``rng`` draws every dropout mask of the batch in one call,
-    image by image, so each image gets the masks it would get in a pass
-    over the images one at a time: the random stream, and hence training,
-    does not depend on how the images are batched. The last block takes
-    only the class-token row of its uniforms, the same ones that row drew
-    when that block's MLP ran on every token.
+    train mode ``rng`` draws the dropout uniforms of the whole batch in
+    one call of shape (batch, depth, tokens, mlp_ratio * dim), image by
+    image, so each image gets the masks it would get in a pass over the
+    images one at a time: the random stream, and hence training, does not
+    depend on how the images are batched. Block i takes slice
+    ``[:, i]``; the last block takes only its class-token row, the
+    uniforms that row drew when that block's MLP ran on every token.
     """
     pixels = np.asarray(images, dtype=DTYPE)
     single = pixels.ndim == 3
@@ -401,18 +389,16 @@ def forward(images, params: ModelParams, config: ModelConfig,
         pixels = pixels[None]
     z = embed_patches(patchify((pixels - 0.5) / 0.5, config), params)
     batch, tokens = z.shape[0], z.shape[1]
-    layer_rngs = [rng] * config.depth
+    layer_noise = [None] * config.depth
     if train and config.dropout > 0.0:
         if rng is None:
             raise ValueError("train-mode forward needs an rng when dropout > 0")
         noise = rng.random((batch, config.depth, tokens, config.mlp_ratio * config.dim))
-        layer_rngs = [_Drawn(noise[:, i]) for i in range(config.depth - 1)]
-        layer_rngs.append(_Drawn(noise[:, -1, :1]))  # the last block's class row
-        del noise  # freed once the last layer has taken its uniforms
+        layer_noise = [noise[:, i] for i in range(config.depth - 1)]
+        layer_noise.append(noise[:, -1, :1])  # the last block's class row
     recorded = []
-    for i, (layer, layer_rng) in enumerate(zip(params.layers, layer_rngs)):
-        z, attn = encoder_block(z, layer, config, train=train, rng=layer_rng,
-                                cls_only=i == config.depth - 1)
+    for i, (layer, uniforms) in enumerate(zip(params.layers, layer_noise)):
+        z, attn = encoder_block(z, layer, config, uniforms, cls_only=i == config.depth - 1)
         recorded.append(attn.data)
     cls_rows = layer_norm(z, params.ln_f_gamma, params.ln_f_beta)
     logits = reshape(matmul(cls_rows, params.fc_w) + params.fc_b,

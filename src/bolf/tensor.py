@@ -69,7 +69,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatch(f"item() needs a scalar, got shape {self.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -507,20 +507,22 @@ def gelu(x) -> Tensor:
     return out
 
 
-def dropout(x, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout: scale kept units by 1/(1-p) at train time.
+def dropout(x, p: float, uniforms: np.ndarray | None) -> Tensor:
+    """Inverted dropout: keep the units whose uniform draw is >= p and
+    scale them by 1/(1-p).
 
-    Eval mode (or p == 0) is the identity, so eval outputs are a pure
-    function of the weights.
+    ``uniforms`` holds one draw in [0, 1) per unit of ``x``, with exactly
+    its shape; it never broadcasts. ``None`` is eval mode, the identity,
+    so eval outputs are a pure function of the weights.
     """
     x = _wrap(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if uniforms is None:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an explicit rng for determinism")
-    keep = rng.random(x.data.shape) >= p  # a boolean mask holds 1/8 the bytes
+    if uniforms.shape != x.shape:
+        raise ShapeMismatch(f"dropout: uniforms {uniforms.shape} != input {x.shape}")
+    keep = uniforms >= p  # a boolean mask holds 1/8 the bytes
     scale = 1.0 / (1.0 - p)
     out = Tensor(x.data * keep * scale, x.requires_grad)
 
@@ -597,8 +599,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-3,
         y = f(probe)
     if not isinstance(y, Tensor) or y.size != 1:
         raise ShapeMismatch("grad_check needs a scalar-valued f")
-    y0 = float(y.data)
-    if float(f(Tensor(base.copy())).data) != y0:
+    y0 = y.item()
+    if f(Tensor(base.copy())).item() != y0:
         raise NumericError("grad_check: f is not deterministic (re-evaluation mismatch)")
     backward(y, tape)
     analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
@@ -620,8 +622,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-3,
         plus[c] += step
         minus = flat_base.copy()
         minus[c] -= step
-        f_plus = float(f(Tensor(plus.reshape(base.shape))).data)
-        f_minus = float(f(Tensor(minus.reshape(base.shape))).data)
+        f_plus = f(Tensor(plus.reshape(base.shape))).item()
+        f_minus = f(Tensor(minus.reshape(base.shape))).item()
         numeric = (f_plus - f_minus) / (2.0 * step)
         a = float(flat_analytic[c])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
@@ -661,7 +663,7 @@ def primitive_checks() -> list[tuple[str, object, np.ndarray]]:
     vec = rng.normal(size=(7,))
 
     def fixed_dropout(t):
-        return sum_all(mul(dropout(t, 0.5, np.random.default_rng(7), True), w57))
+        return sum_all(mul(dropout(t, 0.5, np.random.default_rng(7).random(t.shape)), w57))
 
     return [
         ("add", lambda t: sum_all(mul(add(t, b), w57)), a),

@@ -204,8 +204,9 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     ``splits`` needs non-empty ``train`` and ``val`` lists of image
     samples. Each minibatch runs as one batched forward and backward pass
     on one tape. One generator, seeded from the config, drives shuffling
-    and dropout masks (one draw per minibatch, see ``forward``) in a fixed
-    order. The schedule is stepped once per optimizer step with
+    and dropout in a fixed order: ``forward`` draws all of a minibatch's
+    dropout uniforms in one call and hands each block its slice. The
+    schedule is stepped once per optimizer step with
     T = epochs * ceil(len(train) / batch_size). A non-finite loss or
     gradient stops training before the update, naming where it happened.
     """

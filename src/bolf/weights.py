@@ -12,9 +12,7 @@ Layout (all integers little-endian):
         payload  prod(dims) x f32, row-major
     crc32   u32      checksum of every preceding byte
 
-Floats are stored as f32, so saving float64 parameters quantizes them;
-callers that need save -> load -> evaluate to be bit-exact should push
-their parameters through :func:`roundtrip_f32` first.
+Floats are stored as f32, so saving float64 parameters quantizes them.
 """
 
 from __future__ import annotations
@@ -102,9 +100,3 @@ def load_weights(path) -> dict[str, np.ndarray]:
     if pos != end:
         raise WeightsError(f"{end - pos} unexpected trailing bytes before checksum")
     return out
-
-
-def roundtrip_f32(named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Quantize float64 arrays through f32 so in-memory values match what a
-    save/load cycle would produce."""
-    return {k: np.asarray(v).astype(np.float32).astype(np.float64) for k, v in named.items()}

@@ -266,6 +266,14 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "no.cfg")]) == EXIT_CONFIG
 
+    def test_non_finite_float_override(self, ws, tmp_path, capsys):
+        weights = tmp_path / "w.bolf"
+        assert main(["train", "--config", ws["cfg"], "--out", str(ws["out"]),
+                     "--set", "train.weight_decay=nan",
+                     "--set", f"run.weights_out={weights}"]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not weights.exists()
+
     def test_malformed_override(self, capsys):
         assert main(["gen-data", "--set", "train.epochs"]) == EXIT_CONFIG
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bolf import config
 from bolf.config import (
     ALL_KEYS,
     ConfigError,
@@ -12,6 +13,9 @@ from bolf.config import (
     serialize,
     to_pairs,
 )
+
+FLOAT_KEYS = [f"{section}.{name}" for section, table in config._SECTIONS.items()
+              for name, typ in table.items() if typ is float]
 
 
 class TestParseText:
@@ -54,6 +58,13 @@ class TestFromPairs:
             from_pairs({"train.epochs": "three"})
         with pytest.raises(ConfigError, match="expected float"):
             from_pairs({"train.lr0": "fast"})
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats_rejected(self, key):
+        # nan slips through every range check (nan > 0.0 is False)
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="finite"):
+                from_pairs({key: value})
 
     def test_domain_validation_becomes_config_error(self):
         with pytest.raises(ConfigError):

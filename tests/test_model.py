@@ -317,17 +317,6 @@ class TestBatchedForward:
         assert np.array_equal(unpatchify(bag), images)
 
 
-class _Uniforms:
-    """A generator stand-in whose one ``random`` call returns given values."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def random(self, shape):
-        assert self.values.shape == tuple(shape)
-        return self.values
-
-
 class TestClassRowOnlyLastBlock:
     """forward runs the last block's MLP and the final layer norm on the
     class-token row only. The reference below runs every block on every
@@ -343,8 +332,7 @@ class TestClassRowOnlyLastBlock:
             (len(images), cfg.depth, z.shape[1], cfg.mlp_ratio * cfg.dim))
         recorded = []
         for i, layer in enumerate(params.layers):
-            layer_rng = None if noise is None else _Uniforms(noise[:, i])
-            z, attn = encoder_block(z, layer, cfg, train=rng is not None, rng=layer_rng)
+            z, attn = encoder_block(z, layer, cfg, None if noise is None else noise[:, i])
             recorded.append(attn.data)
         z = narrow(layer_norm(z, params.ln_f_gamma, params.ln_f_beta), 1, 0, 1)
         logits = matmul(z, params.fc_w) + params.fc_b

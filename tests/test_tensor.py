@@ -68,6 +68,10 @@ class TestTensorBasics:
 
     def test_item_scalar(self):
         assert Tensor(3.5).item() == 3.5
+        # any size-1 tensor is a scalar, whatever its rank
+        for data in ([3.0], [[3.0]]):
+            value = Tensor(data).item()
+            assert value == 3.0 and type(value) is float
 
     def test_item_rejects_non_scalar(self):
         with pytest.raises(ShapeMismatch):
@@ -401,31 +405,36 @@ class TestNonlinearOps:
 
     def test_dropout_eval_is_identity_object(self):
         x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.5, None, training=False) is x
-        assert dropout(x, 0.0, None, training=True) is x
+        assert dropout(x, 0.5, None) is x
 
     def test_dropout_train_scales_survivors(self):
-        x = Tensor(np.ones((50, 50)))
-        out = dropout(x, 0.25, np.random.default_rng(3), training=True).data
-        kept = out[out != 0.0]
-        assert np.allclose(kept, 1.0 / 0.75)
+        x = Tensor(np.random.default_rng(2).normal(size=(50, 50)))
+        uniforms = np.random.default_rng(3).random(x.shape)
+        out = dropout(x, 0.25, uniforms).data
+        keep = uniforms >= 0.25
+        assert np.array_equal(out, np.where(keep, x.data * (1.0 / 0.75), 0.0))
         # drop fraction lands near p for a large mask
-        assert abs((out == 0.0).mean() - 0.25) < 0.05
+        assert abs((~keep).mean() - 0.25) < 0.05
 
-    def test_dropout_deterministic_for_fixed_rng(self):
-        x = Tensor(np.ones((8, 8)))
-        a = dropout(x, 0.5, np.random.default_rng(9), training=True).data
-        b = dropout(x, 0.5, np.random.default_rng(9), training=True).data
-        assert np.array_equal(a, b)
+    def test_dropout_gradient_follows_the_mask(self):
+        uniforms = np.random.default_rng(9).random((8, 8))
+        grad = _grad_of(lambda t: sum_all(dropout(t, 0.5, uniforms)), np.ones((8, 8)))
+        assert np.array_equal(grad, (uniforms >= 0.5) * 2.0)
 
     def test_dropout_validation(self):
         x = Tensor(np.ones(4))
         with pytest.raises(ValueError):
-            dropout(x, 1.0, np.random.default_rng(0), training=True)
+            dropout(x, 1.0, np.zeros(4))
         with pytest.raises(ValueError):
-            dropout(x, -0.1, np.random.default_rng(0), training=True)
-        with pytest.raises(ValueError):
-            dropout(x, 0.5, None, training=True)
+            dropout(x, -0.1, np.zeros(4))
+
+    def test_dropout_uniforms_never_broadcast(self):
+        # a (B, 1, H) slice must not hand every row of a (B, T, H) input
+        # the same mask
+        x = Tensor(np.ones((2, 3, 4)))
+        for shape in [(2, 1, 4), (3, 4), (2, 3, 4, 1)]:
+            with pytest.raises(ShapeMismatch):
+                dropout(x, 0.5, np.zeros(shape))
 
 
 class TestGradCheck:
@@ -512,6 +521,10 @@ class TestGradCheck:
 
         with pytest.raises(NumericError):
             grad_check(noisy, np.ones((2, 2)))
+
+    def test_accepts_size_one_f_of_any_rank(self):
+        report = grad_check(lambda x: reshape(sum_all(mul(x, x)), (1,)), np.ones(3))
+        assert report.passed and report.n_checked == 3
 
     def test_rejects_non_scalar_f(self):
         with pytest.raises(ShapeMismatch):
