@@ -131,8 +131,10 @@ def cmd_train(cfg: RunConfig) -> int:
         print(f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
               f"train_acc {stats.train_acc:.4f}{val}")
 
-    # Report final metrics with the weights as persisted (float32), so a
-    # later load-and-eval reproduces these numbers bit-exactly.
+    # Report final metrics from the weights file, loaded as `bolf eval`
+    # loads it: the float32 weights exactly, computing in float64. A later
+    # eval then reproduces these numbers bit-exactly; the float32 metrics
+    # of the last history row may differ in their last digits.
     saved = ModelParams.from_arrays(cfg.model, load_weights(weights_path),
                                     requires_grad=False)
     val_acc, val_auc = evaluate(saved, splits.val, cfg.model, cfg.threshold)

@@ -156,7 +156,11 @@ def load_config(path=None, overrides: list[str] | None = None,
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        pairs.update(parse_text(path.read_text()))
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        pairs.update(parse_text(text))
     if seed is not None:
         pairs["data.seed"] = str(seed)
         pairs["train.seed"] = str(seed)

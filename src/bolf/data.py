@@ -16,6 +16,7 @@ The two properties the generators enforce by construction:
 from __future__ import annotations
 
 import csv
+import io
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -430,7 +431,10 @@ def read_ppm(path) -> np.ndarray:
     magics, maxval != 255, and a payload shorter or longer than the header
     declares are format errors.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # a path no file can have, such as one with a NUL byte
+        raise FormatError(f"cannot open {str(path)!r}: {exc}") from None
     magic = data[:2]
     if magic not in (b"P6", b"P5"):
         raise FormatError(f"unsupported magic {magic!r}; only binary P6/P5 are accepted")
@@ -485,7 +489,7 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
             write_ppm(out_dir / rel, sample.pixels)
             rows.append((rel, sample.label, sample.video_id, sample.frame_idx,
                          sample.family, split))
-    with open(manifest_path, "w", newline="") as fh:
+    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
         writer.writerows(rows)
@@ -497,8 +501,9 @@ def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSpli
 
     Every row is validated and counts toward the spec, but images are read
     only for the requested ``splits``; the other splits come back empty.
-    All rows must name the same, known family. Tamper masks are not
-    persisted, so loaded fakes carry mask None.
+    All rows must name the same, known family, and all rows of a video the
+    same label. Tamper masks are not persisted, so loaded fakes carry mask
+    None.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -511,35 +516,44 @@ def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSpli
     counts = dict.fromkeys(loaded, 0)
     first_rel = None
     families = set()
-    with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(MANIFEST_COLUMNS):
-            raise FormatError(f"bad manifest header {header!r}")
-        for row in reader:
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise FormatError(f"bad manifest row {row!r}")
-            rel, label, video_id, frame_idx, family, split = row
-            if split not in loaded:
-                raise FormatError(f"unknown split {split!r} in manifest")
-            if label not in ("0", "1"):
-                raise FormatError(f"bad label {label!r} in manifest")
-            try:
-                frame = int(frame_idx)
-            except ValueError:
-                raise FormatError(f"bad frame index {frame_idx!r} in manifest") from None
-            if family not in FAMILIES:
-                raise FormatError(f"unknown family {family!r} in manifest")
-            families.add(family)
-            if len(families) > 1:
-                raise FormatError(f"manifest mixes families {sorted(families)}")
-            counts[split] += 1
-            if first_rel is None:
-                first_rel = rel
-            if split in splits:
-                loaded[split].append(ImageSample(
-                    pixels=read_ppm(base / rel), label=int(label), video_id=video_id,
-                    frame_idx=frame, tamper_mask=None, family=family))
+    video_labels: dict[str, str] = {}
+    try:
+        text = manifest_path.read_bytes().decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"manifest {manifest_path}: not UTF-8 text "
+                          f"({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise FormatError(f"manifest {manifest_path}: {exc}") from None
+    header = rows[0] if rows else None
+    if header != list(MANIFEST_COLUMNS):
+        raise FormatError(f"bad manifest header {header!r}")
+    for row in rows[1:]:
+        if len(row) != len(MANIFEST_COLUMNS):
+            raise FormatError(f"bad manifest row {row!r}")
+        rel, label, video_id, frame_idx, family, split = row
+        if split not in loaded:
+            raise FormatError(f"unknown split {split!r} in manifest")
+        if label not in ("0", "1"):
+            raise FormatError(f"bad label {label!r} in manifest")
+        if video_labels.setdefault(video_id, label) != label:
+            raise FormatError(f"video {video_id!r} has both labels in manifest")
+        try:
+            frame = int(frame_idx)
+        except ValueError:
+            raise FormatError(f"bad frame index {frame_idx!r} in manifest") from None
+        if family not in FAMILIES:
+            raise FormatError(f"unknown family {family!r} in manifest")
+        families.add(family)
+        if len(families) > 1:
+            raise FormatError(f"manifest mixes families {sorted(families)}")
+        counts[split] += 1
+        if first_rel is None:
+            first_rel = rel
+        if split in splits:
+            loaded[split].append(ImageSample(
+                pixels=read_ppm(base / rel), label=int(label), video_id=video_id,
+                frame_idx=frame, tamper_mask=None, family=family))
     if first_rel is None:
         raise FormatError(f"manifest {manifest_path} lists no samples")
     first = next((s.pixels for lst in loaded.values() for s in lst), None)

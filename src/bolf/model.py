@@ -22,7 +22,6 @@ from typing import Iterator
 import numpy as np
 
 from .tensor import (
-    DTYPE,
     Tensor,
     ShapeMismatch,
     concat,
@@ -53,6 +52,11 @@ class ModelConfig:
     num_classes: int = 2
 
     def __post_init__(self):
+        # positivity first: the divisibility checks below divide by these
+        for name in ("height", "width", "channels", "patch_size", "dim", "depth",
+                     "heads", "mlp_ratio", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.height % self.patch_size or self.width % self.patch_size:
             raise ValueError(
                 f"patch size {self.patch_size} must tile {self.height}x{self.width} exactly")
@@ -60,10 +64,6 @@ class ModelConfig:
             raise ValueError(f"dim {self.dim} must split evenly over {self.heads} heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        for name in ("height", "width", "channels", "patch_size", "dim", "depth",
-                     "heads", "mlp_ratio", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def grid_rows(self) -> int:
@@ -102,9 +102,10 @@ def patchify(image, config: ModelConfig) -> PatchBag:
     non-overlapping patch_size tiles, row-major.
 
     Each bag row is the row-major flattening of one tile
-    (rows, then columns, then channels).
+    (rows, then columns, then channels). Float32 and float64 pixels keep
+    their dtype; other input becomes a float64 bag.
     """
-    pixels = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    pixels = image.data if isinstance(image, Tensor) else np.asarray(image)
     expect = (config.height, config.width, config.channels)
     if pixels.ndim not in (3, 4) or pixels.shape[-3:] != expect:
         raise ShapeMismatch(f"patchify: image shape {pixels.shape} != configured {expect}")
@@ -370,9 +371,11 @@ def forward(images, params: ModelParams, config: ModelConfig,
     (height, width, channels) image runs as a batch of one and gives
     (num_classes,) logits and its AttentionRecord.
 
-    Pixels arrive in [0, 1] and are mapped to [-1, 1] first (the usual
-    mean-0.5/std-0.5 image normalization); without it the shared DC level
-    of every patch dwarfs the content the encoder should attend to.
+    The pass runs in the dtype of the parameters, float32 or float64, and
+    pixels are cast to it. They arrive in [0, 1] and are mapped to [-1, 1]
+    first (the usual mean-0.5/std-0.5 image normalization); without it the
+    shared DC level of every patch dwarfs the content the encoder should
+    attend to.
 
     Eval mode (train=False) is a pure function of images and params. In
     train mode ``rng`` draws the dropout uniforms of the whole batch in
@@ -383,7 +386,7 @@ def forward(images, params: ModelParams, config: ModelConfig,
     ``[:, i]``; the last block takes only its class-token row, the
     uniforms that row drew when that block's MLP ran on every token.
     """
-    pixels = np.asarray(images, dtype=DTYPE)
+    pixels = np.asarray(images, dtype=params.patch_w.data.dtype)
     single = pixels.ndim == 3
     if single:
         pixels = pixels[None]

@@ -1,6 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Ops execute eagerly on numpy float64 arrays. While a :class:`Tape` is
+Ops execute eagerly on numpy float32 or float64 arrays. A tensor keeps
+the float dtype it is given; other input, such as ints or Python
+numbers, becomes :data:`DTYPE` (float64). A constant that meets a tensor
+in an elementwise op or a matrix product takes that tensor's dtype, so a
+float32 computation stays float32. While a :class:`Tape` is
 active, every op whose output requires a gradient records an adjoint
 closure; :func:`backward` replays the closures in reverse execution
 order, which for a define-by-run graph is a valid topological order.
@@ -23,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-DTYPE = np.float64
+DTYPE = np.float64  # the dtype of tensors built from non-float input
+_FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -50,7 +55,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -150,15 +156,32 @@ def _record(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
         stack[-1]._nodes.append((out, adjoint))
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g to t's gradient, in t's dtype. The first gradient to arrive is
+    copied, unless ``fresh`` says that g is a new array that nothing else
+    holds: then it becomes the buffer itself, if it is an array (not a
+    numpy scalar) of t's dtype."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=DTYPE)
+        if fresh and type(g) is np.ndarray and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Wrap both operands of a binary op; a constant that meets a tensor
+    takes its dtype, so a float32 operand is never promoted by one."""
+    if isinstance(a, Tensor):
+        return a, b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return Tensor(a), Tensor(b)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -178,7 +201,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -196,7 +219,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     try:
         data = a.data - b.data
     except ValueError:
@@ -207,14 +230,14 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
+            _accum(b, _unbroadcast(-g, b.data.shape), fresh=True)
 
     _record(out, adjoint)
     return out
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -223,9 +246,9 @@ def mul(a, b) -> Tensor:
 
     def adjoint(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -236,7 +259,7 @@ def neg(a) -> Tensor:
     out = Tensor(-a.data, a.requires_grad)
 
     def adjoint(g):
-        _accum(a, -g)
+        _accum(a, -g, fresh=True)
 
     _record(out, adjoint)
     return out
@@ -250,7 +273,7 @@ def matmul(a, b) -> Tensor:
     times a matrix, the layout of every linear layer, runs as one flat
     product over all the stacked rows.
     """
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     flat = b.ndim == 2
@@ -268,14 +291,14 @@ def matmul(a, b) -> Tensor:
         if flat:
             g2 = g.reshape(-1, g.shape[-1])
             if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape), fresh=True)
             if b.requires_grad:
-                _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g2)
+                _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g2, fresh=True)
             return
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -330,7 +353,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     def adjoint(g):
         buf = np.zeros_like(a.data)
         buf[index] = g
-        _accum(a, buf)
+        _accum(a, buf, fresh=True)
 
     _record(out, adjoint)
     return out
@@ -372,7 +395,7 @@ def take(a, index: int) -> Tensor:
     def adjoint(g):
         buf = np.zeros_like(a.data)
         buf[index] = g
-        _accum(a, buf)
+        _accum(a, buf, fresh=True)
 
     _record(out, adjoint)
     return out
@@ -383,7 +406,7 @@ def sum_all(a) -> Tensor:
     out = Tensor(a.data.sum(), a.requires_grad)
 
     def adjoint(g):
-        _accum(a, np.full(a.data.shape, float(g), dtype=DTYPE))
+        _accum(a, np.full(a.data.shape, float(g), dtype=a.data.dtype), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -395,7 +418,7 @@ def mean_all(a) -> Tensor:
     out = Tensor(a.data.mean(), a.requires_grad)
 
     def adjoint(g):
-        _accum(a, np.full(a.data.shape, float(g) / n, dtype=DTYPE))
+        _accum(a, np.full(a.data.shape, float(g) / n, dtype=a.data.dtype), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -410,7 +433,7 @@ def exp(a) -> Tensor:
     out = Tensor(data, a.requires_grad)
 
     def adjoint(g):
-        _accum(a, g * data)
+        _accum(a, g * data, fresh=True)
 
     _record(out, adjoint)
     return out
@@ -423,7 +446,7 @@ def log(a) -> Tensor:
     out = Tensor(np.log(a.data), a.requires_grad)
 
     def adjoint(g):
-        _accum(a, g / a.data)
+        _accum(a, g / a.data, fresh=True)
 
     _record(out, adjoint)
     return out
@@ -452,7 +475,7 @@ def softmax_rows(x) -> Tensor:
     def adjoint(g):
         # d/dx of softmax: y * (g - sum_j g_j y_j) per row
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - dot))
+        _accum(x, y * (g - dot), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -480,14 +503,14 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def adjoint(g):
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
+            _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0), fresh=True)
         if beta.requires_grad:
-            _accum(beta, g.reshape(-1, d).sum(axis=0))
+            _accum(beta, g.reshape(-1, d).sum(axis=0), fresh=True)
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2))
+            _accum(x, inv * (dxhat - m1 - xhat * m2), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -501,7 +524,7 @@ def gelu(x) -> Tensor:
 
     def adjoint(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (cdf + x.data * pdf))
+        _accum(x, g * (cdf + x.data * pdf), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -527,7 +550,7 @@ def dropout(x, p: float, uniforms: np.ndarray | None) -> Tensor:
     out = Tensor(x.data * keep * scale, x.requires_grad)
 
     def adjoint(g):
-        _accum(x, g * keep * scale)
+        _accum(x, g * keep * scale, fresh=True)
 
     _record(out, adjoint)
     return out

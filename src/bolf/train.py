@@ -12,6 +12,11 @@ from .metrics import ScoredSample, accuracy, roc_auc
 from .model import ModelConfig, ModelParams, forward
 from .tensor import NumericError, Tape, Tensor, backward, exp, log, matmul, reshape, sum_all
 
+# Training computes in float32. init_params and ModelParams.from_arrays
+# build float64 models, which inference from a weights file and the
+# gradient checks run on.
+TRAIN_DTYPE = np.float32
+
 # Frames per eval-mode forward pass in score_samples. Every scorer uses the
 # same chunks, so a frame's score does not depend on which command made it.
 SCORE_CHUNK = 16
@@ -201,26 +206,31 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
           model_cfg: ModelConfig) -> tuple[ModelParams, list[EpochStats]]:
     """Run the full training loop; deterministic for a fixed seed.
 
-    ``splits`` needs non-empty ``train`` and ``val`` lists of image
-    samples. Each minibatch runs as one batched forward and backward pass
-    on one tape. One generator, seeded from the config, drives shuffling
-    and dropout in a fixed order: ``forward`` draws all of a minibatch's
-    dropout uniforms in one call and hands each block its slice. The
-    schedule is stepped once per optimizer step with
-    T = epochs * ceil(len(train) / batch_size). A non-finite loss or
-    gradient stops training before the update, naming where it happened.
+    Training runs in float32: on entry every parameter tensor of
+    ``params`` is cast to TRAIN_DTYPE in place, and the same tensors are
+    then updated in place and returned. ``splits`` needs non-empty
+    ``train`` and ``val`` lists of image samples. Each minibatch runs as
+    one batched forward and backward pass on one tape. One generator,
+    seeded from the config, drives shuffling and dropout in a fixed order:
+    ``forward`` draws all of a minibatch's dropout uniforms in one call and
+    hands each block its slice. The schedule is stepped once per optimizer
+    step with T = epochs * ceil(len(train) / batch_size). A non-finite loss
+    or gradient stops training before the update, naming where it
+    happened.
     """
     train_set = splits.train
     val_set = splits.val
     if not train_set or not val_set:
         raise ValueError("train and val splits must both be non-empty")
+    named = params.named()
+    for _, t in named:
+        t.data = t.data.astype(TRAIN_DTYPE, copy=False)
     if train_cfg.epochs == 0:
         return params, []
 
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
-    named = params.named()
     opt = MomentumSGD([t for _, t in named],
                       momentum=train_cfg.momentum,
                       weight_decay=train_cfg.weight_decay,

@@ -12,7 +12,8 @@ Layout (all integers little-endian):
         payload  prod(dims) x f32, row-major
     crc32   u32      checksum of every preceding byte
 
-Floats are stored as f32, so saving float64 parameters quantizes them.
+Floats are stored as f32. Training leaves its parameters in float32, so
+they save losslessly; saving float64 parameters rounds them to f32.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ rollout, determinism, and exit-code tests all work against it.
 """
 
 import csv
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import bolf.cli as cli
 from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from bolf.data import FormatError, read_ppm
+from bolf.data import FormatError, load_manifest, read_ppm
 from bolf.model import ModelConfig, init_params
 from bolf.tensor import Tensor, mul, sum_all
 from bolf.weights import save_weights
@@ -288,6 +289,24 @@ class TestExitCodes:
                      "--out", str(tmp_path),
                      "--set", "run.weights_in=/definitely/missing.bolf"]) == EXIT_DATA
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"run.out_dir = r\xe9sultats\n")
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_manifest(self, ws, tmp_path, capsys):
+        manifest = (ws["out"] / "manifest.csv").read_bytes()
+        (tmp_path / "manifest.csv").write_bytes(manifest.replace(b"-f,", b"-\xff,", 1))
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path)]) == EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_nul_byte_in_manifest_path(self, ws, tmp_path, capsys):
+        manifest = (ws["out"] / "manifest.csv").read_bytes()
+        (tmp_path / "manifest.csv").write_bytes(manifest.replace(b"images/", b"ima\0ges/", 1))
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path)]) == EXIT_DATA
+        assert "null byte" in capsys.readouterr().err
+
     def test_eval_before_gen_data(self, ws, tmp_path):
         assert main(["eval", "--config", ws["cfg"],
                      "--out", str(tmp_path / "fresh")]) == EXIT_DATA
@@ -377,8 +396,8 @@ def _damage(data, blob: bytes) -> bytes:
 
 
 class TestDamagedInputs:
-    """Damaged weights or images end in EXIT_DATA through main, never in a
-    traceback."""
+    """Damaged weights, images or manifests end in EXIT_DATA through main,
+    never in a traceback."""
 
     @staticmethod
     def _rollout(ws, image, weights):
@@ -406,3 +425,24 @@ class TestDamagedInputs:
         except FormatError:
             shape = None
         assert code == (EXIT_OK if shape == (16, 16, 1) else EXIT_DATA)
+
+    @pytest.fixture(scope="class")
+    def fuzz_corpus(self, ws):
+        """A copy of the corpus images, under a manifest each example rewrites."""
+        root = ws["root"] / "fuzz_corpus"
+        shutil.copytree(ws["out"] / "images", root / "images")
+        return root
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_damaged_manifest(self, ws, fuzz_corpus, data):
+        manifest = fuzz_corpus / "manifest.csv"
+        manifest.write_bytes(_damage(data, (ws["out"] / "manifest.csv").read_bytes()))
+        code = main(["eval", "--config", ws["cfg"], "--out", str(fuzz_corpus),
+                     "--set", f"run.weights_in={ws['out'] / 'weights.bolf'}"])
+        try:
+            load_manifest(manifest, ("test",))
+        except (FormatError, OSError):
+            assert code == EXIT_DATA
+        else:  # EXIT_DATA still, if the damage leaves the test split one class
+            assert code in (EXIT_OK, EXIT_DATA)

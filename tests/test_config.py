@@ -1,6 +1,7 @@
 """Tests for the flat key = value run configuration."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bolf import config
 from bolf.config import (
@@ -73,6 +74,15 @@ class TestFromPairs:
             from_pairs({"data.train_count": "7"})  # odd
         with pytest.raises(ConfigError):
             from_pairs({"train.momentum": "1.5"})
+
+    @pytest.mark.parametrize("key", ["model.patch_size", "model.dim", "model.depth",
+                                     "model.heads", "model.mlp_ratio", "model.num_classes",
+                                     "data.height", "data.width"])
+    def test_non_positive_sizes_rejected(self, key):
+        # patch_size and heads are divisors: 0 once raised ZeroDivisionError
+        for value in ("0", "-8"):
+            with pytest.raises(ConfigError, match="positive"):
+                from_pairs({key: value})
 
     def test_run_section_validation(self):
         with pytest.raises(ConfigError, match="protocol"):
@@ -166,3 +176,44 @@ class TestLoadConfig:
     def test_override_whitespace_tolerated(self):
         cfg = load_config(None, overrides=[" train.epochs = 4 "])
         assert cfg.train.epochs == 4
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"train.epochs = 3  # caf\xe9\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(path)
+
+
+# config-like text: known or arbitrary keys, with numbers or arbitrary text
+_config_lines = st.lists(
+    st.tuples(st.one_of(st.sampled_from(ALL_KEYS), st.text(max_size=12)),
+              st.sampled_from(["=", " = ", "", "=="]),
+              st.one_of(st.text(max_size=12), st.integers().map(str),
+                        st.floats().map(repr))),
+    max_size=8,
+).map(lambda rows: "\n".join(k + sep + v for k, sep, v in rows).encode("utf-8"))
+
+
+class TestFuzzedConfigFiles:
+    """Any bytes in a config file give a RunConfig or a ConfigError (exit 2
+    through the CLI), never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(st.binary(max_size=128), _config_lines))
+    def test_load_or_raise_config_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+        path.write_bytes(blob)
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(max_size=128))
+    def test_parse_text_gives_pairs_or_config_error(self, text):
+        try:
+            pairs = parse_text(text)
+        except ConfigError:
+            return
+        assert all(key and "=" not in key and "#" not in key for key in pairs)

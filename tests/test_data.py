@@ -508,6 +508,18 @@ class TestManifest:
         with pytest.raises(FormatError, match="mixes families"):
             load_manifest(manifest)
 
+    def test_video_with_both_labels_rejected(self, tmp_path, tiny_splits):
+        # scoring would fail later, in video-level AUC, outside the exit codes
+        manifest = write_dataset(tiny_splits, tmp_path)
+        lines = manifest.read_text().splitlines()
+        last = lines[-1].split(",")
+        same_video = [l for l in lines[1:-1] if l.split(",")[2] == last[2]]
+        assert same_video
+        last[1] = "1" if last[1] == "0" else "0"
+        manifest.write_text("\n".join(lines[:-1] + [",".join(last)]) + "\n")
+        with pytest.raises(FormatError, match="both labels"):
+            load_manifest(manifest)
+
     def test_unknown_family_rejected(self, tmp_path, tiny_splits):
         write_dataset(tiny_splits, tmp_path)
         rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"

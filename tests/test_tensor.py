@@ -219,6 +219,84 @@ class TestBroadcasting:
         assert np.array_equal(x.grad, np.full((3, 1), 4.0))
 
 
+class TestDtypes:
+    """A tensor computes in the float dtype it is given: float32 stays
+    float32 through every op and its gradient, float64 stays float64."""
+
+    @staticmethod
+    def _all_ops(x: Tensor, w: Tensor) -> Tensor:
+        """A scalar through every primitive, with constants of the default
+        dtype on both sides of add, sub, mul and matmul."""
+        c = np.linspace(-1.0, 1.0, 12).reshape(3, 4)  # float64
+        h = add(mul(2.0, x), c)
+        h = sub(add(1.0, h), 0.5)
+        h = sub(c, mul(h, c))
+        h = layer_norm(h, Tensor(np.ones(4, dtype=w.data.dtype)), w)
+        h = gelu(matmul(h, np.eye(4)))
+        h = dropout(h, 0.5, np.random.default_rng(0).random(h.shape))
+        h = softmax_rows(matmul(h, transpose(reshape(h, (3, 4)))))
+        h = concat([narrow(h, 1, 0, 2), neg(h)], axis=1)
+        h = log(add(exp(mul(h, 0.5)), 1.0))
+        return add(mean_all(h), mul(sum_all(h), take(reshape(w, (4,)), 1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_op_and_gradient_keeps_the_dtype(self, dtype):
+        x = Tensor(np.arange(12.0, dtype=dtype).reshape(3, 4) / 7, requires_grad=True)
+        w = Tensor(np.full(4, 0.1, dtype=dtype), requires_grad=True)
+        with Tape() as tape:
+            loss = self._all_ops(x, w)
+        dtypes = {out.data.dtype for out, _ in tape._nodes}
+        backward(loss, tape)
+        assert dtypes == {np.dtype(dtype)}
+        assert x.grad.dtype == dtype and w.grad.dtype == dtype
+
+    @pytest.mark.parametrize("op", [add, sub, mul])
+    def test_constants_do_not_promote_float32(self, op):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        for const in (0.25, np.float64(0.25), np.full((2, 3), 0.25)):
+            assert op(x, const).data.dtype == np.float32
+            assert op(const, x).data.dtype == np.float32
+        assert matmul(x, np.ones((3, 2))).data.dtype == np.float32
+        assert matmul(np.ones((2, 2)), x).data.dtype == np.float32
+
+    def test_float64_tensor_computes_in_float64(self):
+        x = Tensor(np.ones((2, 3)))
+        assert x.data.dtype == np.float64
+        assert mul(x, np.full((2, 3), 0.1, dtype=np.float32)).data.dtype == np.float64
+        assert add(x, 1.0).data.dtype == np.float64
+        # a float32 constant is widened exactly, as before
+        y = mul(x, np.float32(0.1))
+        assert y.data[0, 0] == float(np.float32(0.1))
+
+    def test_non_float_input_becomes_float64(self):
+        assert Tensor(np.arange(3)).data.dtype == DTYPE == np.float64
+        assert Tensor(1).data.dtype == DTYPE
+        assert Tensor(np.ones(2, dtype=np.float16)).data.dtype == DTYPE
+
+    def test_float32_input_is_kept_not_copied(self):
+        a = np.ones(3, dtype=np.float32)
+        assert Tensor(a).data is a
+
+    def test_fanned_out_gradient_is_not_shared(self):
+        # add hands the same g to both operands: each must get its own buffer
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.ones((2, 2)), requires_grad=True)
+        with Tape() as tape:
+            y = add(a, b)
+            loss = sum_all(mul(reshape(y, (4,)), np.arange(4.0)))
+        backward(loss, tape)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, np.arange(4.0).reshape(2, 2))
+
+    def test_scalar_gradient_is_an_array(self):
+        a = Tensor(2.0, requires_grad=True)
+        with Tape() as tape:
+            loss = neg(a)
+        backward(loss, tape)
+        assert type(a.grad) is np.ndarray and a.grad == -1.0
+
+
 class TestStructuralOps:
     def test_matmul_matches_triple_loop_exactly(self):
         # integer-valued operands make float64 products exact

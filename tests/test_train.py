@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from bolf.model import ModelConfig, init_params
+from bolf.model import ModelConfig, ModelParams, init_params
 from bolf.tensor import Tape, Tensor, backward, grad_check
 from bolf.train import (
+    TRAIN_DTYPE,
     EpochStats,
     MomentumSGD,
     NonFiniteLoss,
@@ -300,7 +301,7 @@ class TestTrainLoop:
 
     def test_training_moves_parameters(self, tiny_splits, tiny_model_cfg, quick_cfg):
         params = init_params(tiny_model_cfg, seed=0)
-        before = params.patch_w.data.copy()
+        before = params.patch_w.data.astype(np.float32)  # train's starting point
         train(params, tiny_splits, quick_cfg, tiny_model_cfg)
         assert not np.array_equal(before, params.patch_w.data)
 
@@ -322,7 +323,8 @@ class TestTrainLoop:
         # parameter, instead of surfacing steps later in some other op
         train_module = importlib.import_module("bolf.train")
         params = init_params(tiny_model_cfg, seed=0)
-        before = params.layers[0].wv.data.copy()
+        # train casts the parameters to float32 before its first step
+        before = params.layers[0].wv.data.astype(np.float32)
 
         def poisoned_backward(loss, tape):
             backward(loss, tape)
@@ -332,3 +334,70 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteLoss, match=r"layer0\.wv at epoch 0 step 0"):
             train(params, tiny_splits, quick_cfg, tiny_model_cfg)
         assert np.array_equal(params.layers[0].wv.data, before)
+
+
+class TestTrainingDtype:
+    """Training computes in float32; a fresh or a loaded model is float64,
+    for inference from a weights file and for gradient checks."""
+
+    @staticmethod
+    def _dtypes(params):
+        return {t.data.dtype for t in params.tensors()}
+
+    def test_init_and_from_arrays_are_float64(self, tiny_model_cfg):
+        params = init_params(tiny_model_cfg, seed=0)
+        assert self._dtypes(params) == {np.dtype(np.float64)}
+        arrays = {name: t.data.astype(np.float32) for name, t in params.named()}
+        loaded = ModelParams.from_arrays(tiny_model_cfg, arrays)
+        assert self._dtypes(loaded) == {np.dtype(np.float64)}
+
+    def test_train_casts_the_callers_tensors_in_place(self, tiny_splits, tiny_model_cfg):
+        assert TRAIN_DTYPE == np.float32
+        params = init_params(tiny_model_cfg, seed=0)
+        tensors = list(params.tensors())
+        expected = [t.data.astype(np.float32) for t in tensors]
+        out, _ = train(params, tiny_splits, TrainConfig(epochs=0), tiny_model_cfg)
+        assert all(a is b for a, b in zip(out.tensors(), tensors))
+        for t, want in zip(tensors, expected):
+            assert t.data.dtype == np.float32
+            assert np.array_equal(t.data, want)
+
+    def test_one_step_is_float32_throughout(self, tiny_splits, tiny_model_cfg, monkeypatch):
+        train_module = importlib.import_module("bolf.train")
+        real_forward, real_loss, real_step = (train_module.forward, train_module.cross_entropy,
+                                              MomentumSGD.step)
+        seen = {"forward": [], "loss": [], "grad": [], "velocity": []}
+
+        def recording_forward(*args, **kwargs):
+            logits, records = real_forward(*args, **kwargs)
+            seen["forward"].append((kwargs.get("train", False), logits, records))
+            return logits, records
+
+        def recording_loss(logits, labels):
+            loss = real_loss(logits, labels)
+            seen["loss"].append(loss.data.dtype)
+            return loss
+
+        def recording_step(opt, lr):
+            seen["grad"] += [p.grad.dtype for p in opt.params]
+            real_step(opt, lr)
+            seen["velocity"] += [v.dtype for v in opt.velocities]
+
+        monkeypatch.setattr(train_module, "forward", recording_forward)
+        monkeypatch.setattr(train_module, "cross_entropy", recording_loss)
+        monkeypatch.setattr(MomentumSGD, "step", recording_step)
+        cfg = TrainConfig(epochs=1, batch_size=len(tiny_splits.train), seed=0)
+        params = init_params(tiny_model_cfg, seed=0)
+        train(params, tiny_splits, cfg, tiny_model_cfg)
+
+        # one training step (dropout on), then the eval pass over val
+        assert [mode for mode, _, _ in seen["forward"]] == [True, False]
+        f32 = np.dtype(np.float32)
+        for _, logits, records in seen["forward"]:
+            assert logits.data.dtype == f32
+            assert {heads.dtype for r in records for heads in r.layers} == {f32}
+        n = len(params.named())
+        assert seen["loss"] == [f32]
+        assert seen["grad"] == [f32] * n
+        assert seen["velocity"] == [f32] * n
+        assert self._dtypes(params) == {f32}
