@@ -12,7 +12,7 @@ import csv
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .data import (
     PERTURBATION_KINDS,
+    SPLITS,
     FormatError,
     PerturbationSpec,
     build_dataset,
@@ -40,7 +41,7 @@ from .model import (
     init_params,
 )
 from .tensor import NumericError, ShapeMismatch, grad_check, primitive_checks
-from .train import cross_entropy, evaluate, fake_score, score_samples, train
+from .train import EpochStats, cross_entropy, evaluate, fake_score, score_samples, train
 from .weights import WeightsError, load_weights, save_weights
 
 EXIT_OK = 0
@@ -50,7 +51,7 @@ EXIT_NUMERIC = 4
 
 REPORT_COLUMNS = ("protocol", "split", "family", "perturbation", "level",
                   "acc", "auc_frame", "auc_video", "n")
-HISTORY_COLUMNS = ("epoch", "mean_loss", "train_acc", "val_acc", "val_auc", "lr")
+HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 _OTHER_FAMILY = {"A": "B", "B": "A"}
 
@@ -77,8 +78,10 @@ def _manifest_path(cfg: RunConfig) -> Path:
     return Path(cfg.out_dir) / "manifest.csv"
 
 
-def _load_params(cfg: RunConfig) -> ModelParams:
-    path = Path(cfg.weights_in) if cfg.weights_in else cfg.weights_out_path()
+def _load_params(cfg: RunConfig, path: Path | None = None) -> ModelParams:
+    """The float64 model in ``path``, by default run.weights_in or else weights_out."""
+    if path is None:
+        path = Path(cfg.weights_in) if cfg.weights_in else cfg.weights_out_path()
     arrays = load_weights(path)
     try:
         return ModelParams.from_arrays(cfg.model, arrays, requires_grad=False)
@@ -108,8 +111,7 @@ def _report_row(cfg: RunConfig, scored: list[ScoredSample], *, split: str,
 def cmd_gen_data(cfg: RunConfig) -> int:
     splits = build_dataset(cfg.data)
     manifest = write_dataset(splits, cfg.out_dir)
-    counts = ", ".join(f"{name} {len(splits.split(name))}"
-                       for name in ("train", "val", "test"))
+    counts = ", ".join(f"{name} {len(splits.split(name))}" for name in SPLITS)
     print(f"wrote {manifest} ({counts})")
     return EXIT_OK
 
@@ -135,8 +137,7 @@ def cmd_train(cfg: RunConfig) -> int:
     # loads it: the float32 weights exactly, computing in float64. A later
     # eval then reproduces these numbers bit-exactly; the float32 metrics
     # of the last history row may differ in their last digits.
-    saved = ModelParams.from_arrays(cfg.model, load_weights(weights_path),
-                                    requires_grad=False)
+    saved = _load_params(cfg, weights_path)
     val_acc, val_auc = evaluate(saved, splits.val, cfg.model, cfg.threshold)
     print(f"saved {weights_path}  val_acc {val_acc!r}  val_auc {val_auc!r}")
     return EXIT_OK

@@ -12,15 +12,17 @@ takes its input geometry from there, so the two can never disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
-from .data import DatasetSpec
+from .data import SPLITS, DatasetSpec
 from .model import ModelConfig
 from .train import TrainConfig
 
 PROTOCOLS = ("in_dist", "cross_family", "perturbed")
-SPLITS = ("train", "val", "test")
+# ModelConfig fields that are set from data.* only
+_DATA_OWNED = ("height", "width", "channels")
 
 
 class ConfigError(ValueError):
@@ -44,18 +46,18 @@ class RunConfig:
         return Path(self.weights_out) if self.weights_out else Path(self.out_dir) / "weights.bolf"
 
 
-_DATA_KEYS = {"family": str, "train_count": int, "val_count": int, "test_count": int,
-              "frames_per_video": int, "height": int, "width": int, "channels": int,
-              "seed": int}
-_MODEL_KEYS = {"patch_size": int, "dim": int, "depth": int, "heads": int,
-               "mlp_ratio": int, "dropout": float, "num_classes": int}
-_TRAIN_KEYS = {"epochs": int, "batch_size": int, "lr0": float, "momentum": float,
-               "lr_min": float, "seed": int, "eval_every": int,
-               "weight_decay": float, "clip_norm": float}
-_RUN_KEYS = {"out_dir": str, "weights_in": str, "weights_out": str,
-             "protocol": str, "threshold": float, "level": int, "split": str}
+def _scalar_fields(cls, skip=()) -> dict[str, type]:
+    """name -> type of the int, float and str fields of a config
+    dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)
+            if hints[f.name] in (int, float, str) and f.name not in skip}
 
-_SECTIONS = {"data": _DATA_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS, "run": _RUN_KEYS}
+
+_SECTIONS = {"data": _scalar_fields(DatasetSpec),
+             "model": _scalar_fields(ModelConfig, skip=_DATA_OWNED),
+             "train": _scalar_fields(TrainConfig),
+             "run": _scalar_fields(RunConfig)}
 ALL_KEYS = tuple(f"{sec}.{name}" for sec, table in _SECTIONS.items() for name in table)
 
 
@@ -100,8 +102,8 @@ def from_pairs(pairs: dict[str, str]) -> RunConfig:
 
     try:
         data = DatasetSpec(**kwargs_for("data"))
-        model = ModelConfig(height=data.height, width=data.width,
-                            channels=data.channels, **kwargs_for("model"))
+        model = ModelConfig(**{name: getattr(data, name) for name in _DATA_OWNED},
+                            **kwargs_for("model"))
         train = TrainConfig(**kwargs_for("train"))
         cfg = RunConfig(model=model, train=train, data=data, **kwargs_for("run"))
     except ConfigError:

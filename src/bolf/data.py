@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+SPLITS = ("train", "val", "test")
 PERTURBATION_KINDS = ("gaussian_noise", "gaussian_blur", "block_quantize", "brightness_shift")
 
 # perturbation level scales (fixed definitional table)
@@ -346,16 +347,15 @@ class DatasetSplits:
     test: list[ImageSample] = field(default_factory=list)
 
     def split(self, name: str) -> list[ImageSample]:
-        if name not in ("train", "val", "test"):
+        if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
 
 def build_split(spec: DatasetSpec, split: str) -> list[ImageSample]:
-    """Generate one split ("train", "val" or "test") of the dataset
-    build_dataset would make; each split depends only on the spec and its
-    name."""
-    if split not in ("train", "val", "test"):
+    """Generate one split (one of SPLITS) of the dataset build_dataset
+    would make; each split depends only on the spec and its name."""
+    if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
     samples: list[ImageSample] = []
     n_orig = getattr(spec, f"{split}_count") // 2
@@ -481,7 +481,7 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.csv"
     rows = []
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         split_dir = out_dir / "images" / split
         os.makedirs(split_dir, exist_ok=True)
         for sample in splits.split(split):
@@ -496,20 +496,20 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSplits:
+def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     """Load samples listed in a manifest; pixels come from the image files.
 
     Every row is validated and counts toward the spec, but images are read
-    only for the requested ``splits``; the other splits come back empty.
-    All rows must name the same, known family, and all rows of a video the
-    same label. Tamper masks are not persisted, so loaded fakes carry mask
-    None.
+    only for the requested ``splits``, each of which must list at least one
+    row; the other splits come back empty. All rows must name the same,
+    known family, and all rows of a video the same label. Tamper masks are
+    not persisted, so loaded fakes carry mask None.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     if not manifest_path.exists():
         raise FormatError(f"manifest not found: {manifest_path}")
-    loaded = {"train": [], "val": [], "test": []}
+    loaded = {name: [] for name in SPLITS}
     for name in splits:
         if name not in loaded:
             raise ValueError(f"unknown split {name!r}")
@@ -556,6 +556,9 @@ def load_manifest(manifest_path, splits=("train", "val", "test")) -> DatasetSpli
                 frame_idx=frame, tamper_mask=None, family=family))
     if first_rel is None:
         raise FormatError(f"manifest {manifest_path} lists no samples")
+    for name in splits:
+        if not counts[name]:
+            raise FormatError(f"manifest {manifest_path} lists no {name!r} samples")
     first = next((s.pixels for lst in loaded.values() for s in lst), None)
     h, w, c = (first if first is not None else read_ppm(base / first_rel)).shape
     spec = DatasetSpec(family=family,

@@ -35,6 +35,8 @@ from .tensor import (
     transpose,
 )
 
+NUM_CLASSES = 2  # the paper's binary decision: 0 original, 1 manipulated
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -49,12 +51,11 @@ class ModelConfig:
     heads: int = 4
     mlp_ratio: int = 4
     dropout: float = 0.1
-    num_classes: int = 2
 
     def __post_init__(self):
         # positivity first: the divisibility checks below divide by these
         for name in ("height", "width", "channels", "patch_size", "dim", "depth",
-                     "heads", "mlp_ratio", "num_classes"):
+                     "heads", "mlp_ratio"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.height % self.patch_size or self.width % self.patch_size:
@@ -156,17 +157,19 @@ class ModelParams:
     layers: list[LayerParams]
     ln_f_gamma: Tensor
     ln_f_beta: Tensor
-    fc_w: Tensor  # (dim, num_classes)
-    fc_b: Tensor  # (num_classes,)
+    fc_w: Tensor  # (dim, NUM_CLASSES)
+    fc_b: Tensor  # (NUM_CLASSES,)
 
     def named(self) -> list[tuple[str, Tensor]]:
-        out = [("patch_w", self.patch_w), ("patch_b", self.patch_b),
-               ("cls_token", self.cls_token), ("pos_embed", self.pos_embed)]
-        for i, layer in enumerate(self.layers):
-            for f in fields(LayerParams):
-                out.append((f"layer{i}.{f.name}", getattr(layer, f.name)))
-        out += [("ln_f_gamma", self.ln_f_gamma), ("ln_f_beta", self.ln_f_beta),
-                ("fc_w", self.fc_w), ("fc_b", self.fc_b)]
+        """(name, tensor) pairs in field order, a block's fields named
+        ``layer{i}.{field}``; weights files keep this order."""
+        out = []
+        for f in fields(self):
+            if f.name == "layers":
+                out += [(f"layer{i}.{g.name}", getattr(layer, g.name))
+                        for i, layer in enumerate(self.layers) for g in fields(LayerParams)]
+            else:
+                out.append((f.name, getattr(self, f.name)))
         return out
 
     def tensors(self) -> Iterator[Tensor]:
@@ -203,16 +206,10 @@ class ModelParams:
 
 
 def _params_from_mapping(mapping: dict[str, Tensor], depth: int) -> ModelParams:
-    layers = []
-    for i in range(depth):
-        layers.append(LayerParams(**{
-            f.name: mapping[f"layer{i}.{f.name}"] for f in fields(LayerParams)}))
-    return ModelParams(
-        patch_w=mapping["patch_w"], patch_b=mapping["patch_b"],
-        cls_token=mapping["cls_token"], pos_embed=mapping["pos_embed"],
-        layers=layers,
-        ln_f_gamma=mapping["ln_f_gamma"], ln_f_beta=mapping["ln_f_beta"],
-        fc_w=mapping["fc_w"], fc_b=mapping["fc_b"])
+    layers = [LayerParams(**{f.name: mapping[f"layer{i}.{f.name}"] for f in fields(LayerParams)})
+              for i in range(depth)]
+    top = {f.name: mapping[f.name] for f in fields(ModelParams) if f.name != "layers"}
+    return ModelParams(layers=layers, **top)
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
@@ -243,31 +240,24 @@ def _param_table(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ("patch_w", (config.patch_len, d), "weight"), ("patch_b", (d,), "zeros"),
         ("cls_token", (1, d), "weight"), ("pos_embed", (config.num_patches + 1, d), "zeros"),
         ("ln_f_gamma", (d,), "ones"), ("ln_f_beta", (d,), "zeros"),
-        ("fc_w", (d, config.num_classes), "weight"), ("fc_b", (config.num_classes,), "zeros")]
+        ("fc_w", (d, NUM_CLASSES), "weight"), ("fc_b", (NUM_CLASSES,), "zeros")]
 
 
-def init_params(config: ModelConfig, seed: int, scheme: str = "trunc_normal",
-                requires_grad: bool = True) -> ModelParams:
-    """Deterministic initialization for a fixed seed.
-
-    trunc_normal: weight matrices and the class token from a truncated
-    normal (std 0.02), biases and position embeddings zero, layer-norm
-    gamma 1 / beta 0. ``zeros`` zeroes everything except layer-norm gamma
-    (useful for wiring tests).
-    """
-    if scheme not in ("trunc_normal", "zeros"):
-        raise ValueError(f"unknown init scheme {scheme!r}")
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """Deterministic initialization for a fixed seed: weight matrices and
+    the class token from a truncated normal (std 0.02), biases and position
+    embeddings zero, layer-norm gamma 1 / beta 0."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def make(shape, init):
         if init == "ones":
             return np.ones(shape)
-        if init == "weight" and scheme == "trunc_normal":
+        if init == "weight":
             return _trunc_normal(rng, shape)
         return np.zeros(shape)
 
     return _params_from_mapping(
-        {name: Tensor(make(shape, init), requires_grad)
+        {name: Tensor(make(shape, init), requires_grad=True)
          for name, shape, init in _param_table(config)}, config.depth)
 
 
@@ -367,9 +357,9 @@ def forward(images, params: ModelParams, config: ModelConfig,
 
     ``images`` is a (batch, height, width, channels) stack, which moves
     through every layer as one (batch, tokens, dim) tensor and gives
-    (batch, num_classes) logits and one AttentionRecord per image. A single
+    (batch, NUM_CLASSES) logits and one AttentionRecord per image. A single
     (height, width, channels) image runs as a batch of one and gives
-    (num_classes,) logits and its AttentionRecord.
+    (NUM_CLASSES,) logits and its AttentionRecord.
 
     The pass runs in the dtype of the parameters, float32 or float64, and
     pixels are cast to it. They arrive in [0, 1] and are mapped to [-1, 1]
@@ -405,7 +395,7 @@ def forward(images, params: ModelParams, config: ModelConfig,
         recorded.append(attn.data)
     cls_rows = layer_norm(z, params.ln_f_gamma, params.ln_f_beta)
     logits = reshape(matmul(cls_rows, params.fc_w) + params.fc_b,
-                     (config.num_classes,) if single else (batch, config.num_classes))
+                     (NUM_CLASSES,) if single else (batch, NUM_CLASSES))
     records = [AttentionRecord([attn[b] for attn in recorded]) for b in range(batch)]
     return logits, records[0] if single else records
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import bolf.cli as cli
 from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from bolf.data import FormatError, load_manifest, read_ppm
-from bolf.model import ModelConfig, init_params
+from bolf.model import ModelConfig
 from bolf.tensor import Tensor, mul, sum_all
 from bolf.weights import save_weights
 
@@ -207,12 +207,12 @@ class TestRollout:
         score_line = [l for l in out.splitlines() if l.startswith("fake_score")][0]
         assert 0.0 <= float(score_line.split()[1]) <= 1.0
 
-    def test_uniform_attention_yields_blank_heatmap(self, ws):
+    def test_uniform_attention_yields_blank_heatmap(self, ws, flat_params):
         """Zeroed projections give uniform attention everywhere; the
         degenerate constant heatmap must come out as all-zero bytes, not
         NaNs from a zero span."""
         flat = ws["root"] / "flat.bolf"
-        params = init_params(CFG_MODEL, seed=0, scheme="zeros")
+        params = flat_params(CFG_MODEL)
         save_weights(flat, {n: t.data for n, t in params.named()})
         image = next((ws["out"] / "images" / "test").glob("*.pgm"))
         out = ws["root"] / "rollout_flat"
@@ -273,6 +273,24 @@ class TestExitCodes:
                      "--set", "train.weight_decay=nan",
                      "--set", f"run.weights_out={weights}"]) == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
+        assert not weights.exists()
+
+    def test_num_classes_is_not_a_key(self, capsys):
+        # the head is fixed at two classes; the old key is unknown
+        assert main(["gen-data", "--set", "model.num_classes=2"]) == EXIT_CONFIG
+        assert "unknown config keys ['model.num_classes']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_train_on_empty_split(self, ws, tmp_path, capsys, split):
+        shutil.copytree(ws["out"] / "images", tmp_path / "images")
+        rows = _read_csv(ws["out"] / "manifest.csv")
+        with open(tmp_path / "manifest.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                row for row in rows if row[-1] != split)
+        weights = tmp_path / "w.bolf"
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path),
+                     "--set", f"run.weights_out={weights}"]) == EXIT_DATA
+        assert f"lists no {split!r} samples" in capsys.readouterr().err
         assert not weights.exists()
 
     def test_malformed_override(self, capsys):

@@ -76,7 +76,7 @@ class TestFromPairs:
             from_pairs({"train.momentum": "1.5"})
 
     @pytest.mark.parametrize("key", ["model.patch_size", "model.dim", "model.depth",
-                                     "model.heads", "model.mlp_ratio", "model.num_classes",
+                                     "model.heads", "model.mlp_ratio",
                                      "data.height", "data.width"])
     def test_non_positive_sizes_rejected(self, key):
         # patch_size and heads are divisors: 0 once raised ZeroDivisionError
@@ -123,6 +123,26 @@ class TestSerialize:
         back = from_pairs(parse_text(serialize(cfg)))
         assert back == cfg
         assert back.train.lr0 == cfg.train.lr0
+
+    def test_key_table(self):
+        # the scalar fields of the four config classes in declaration
+        # order, without the model's data-owned geometry
+        keys = [
+            ("data.family", str), ("data.train_count", int), ("data.val_count", int),
+            ("data.test_count", int), ("data.frames_per_video", int), ("data.height", int),
+            ("data.width", int), ("data.channels", int), ("data.seed", int),
+            ("model.patch_size", int), ("model.dim", int), ("model.depth", int),
+            ("model.heads", int), ("model.mlp_ratio", int), ("model.dropout", float),
+            ("train.epochs", int), ("train.batch_size", int), ("train.lr0", float),
+            ("train.momentum", float), ("train.lr_min", float), ("train.seed", int),
+            ("train.eval_every", int), ("train.weight_decay", float),
+            ("train.clip_norm", float),
+            ("run.out_dir", str), ("run.weights_in", str), ("run.weights_out", str),
+            ("run.protocol", str), ("run.threshold", float), ("run.level", int),
+            ("run.split", str)]
+        assert list(ALL_KEYS) == [key for key, _ in keys]
+        assert [(f"{section}.{name}", typ) for section, table in config._SECTIONS.items()
+                for name, typ in table.items()] == keys
 
     def test_serializes_every_key(self):
         pairs = to_pairs(RunConfig())

@@ -1,12 +1,14 @@
 """Tests for the patch-bag encoder: geometry, initialization, forward
 invariants, a hand-computed attention oracle, and attention rollout."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bolf.model import (
+    NUM_CLASSES,
     AttentionRecord,
     ModelConfig,
     ModelParams,
@@ -130,14 +132,24 @@ class TestParams:
         assert np.array_equal(params.ln_f_gamma.data, np.ones(64))
         assert np.array_equal(params.layers[1].mlp_b1.data, np.zeros(256))
 
-    def test_zeros_scheme(self):
-        params = init_params(ModelConfig(), seed=0, scheme="zeros")
-        assert np.array_equal(params.fc_w.data, np.zeros((64, 2)))
-        assert np.array_equal(params.layers[0].ln1_gamma.data, np.ones(64))
+    def test_init_draw_order(self):
+        # digest of the default seed-0 init: moving a draw changes it
+        digest = hashlib.sha256()
+        for name, t in init_params(ModelConfig(), seed=0).named():
+            digest.update(name.encode())
+            digest.update(t.data.tobytes())
+        assert digest.hexdigest() == (
+            "7643324de05c734937bee67034faec6d43c6fbf1e6242ffcc74dc0f33d08c73d")
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            init_params(ModelConfig(), seed=0, scheme="xavier")
+    def test_named_order(self):
+        # the order of weights.bolf and of the gradcheck lines
+        named = init_params(ModelConfig(depth=1), seed=0).named()
+        assert [name for name, _ in named] == [
+            "patch_w", "patch_b", "cls_token", "pos_embed",
+            "layer0.ln1_gamma", "layer0.ln1_beta", "layer0.wq", "layer0.wk",
+            "layer0.wv", "layer0.wo", "layer0.ln2_gamma", "layer0.ln2_beta",
+            "layer0.mlp_w1", "layer0.mlp_b1", "layer0.mlp_w2", "layer0.mlp_b2",
+            "ln_f_gamma", "ln_f_beta", "fc_w", "fc_b"]
 
     def test_named_covers_everything_once(self):
         cfg = ModelConfig()
@@ -221,10 +233,10 @@ class TestForward:
                 assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
                 assert (attn >= 0.0).all()
 
-    def test_residual_identity_with_zeroed_block_weights(self, tiny_model_cfg):
+    def test_residual_identity_with_zeroed_block_weights(self, tiny_model_cfg, flat_params):
         # with wq..wo and both MLP matrices zero the block must return its
         # input unchanged, bit for bit (x + 0.0 == x)
-        params = init_params(tiny_model_cfg, seed=0, scheme="zeros")
+        params = flat_params(tiny_model_cfg)
         z = Tensor(np.random.default_rng(1).normal(size=(5, tiny_model_cfg.dim)))
         out, _ = encoder_block(z, params.layers[0], tiny_model_cfg)
         assert np.array_equal(out.data, z.data)
@@ -265,7 +277,7 @@ class TestBatchedForward:
         params = init_params(cfg, seed=1)
         images = self._stack(cfg)
         logits, records = forward(images, params, cfg)
-        assert logits.shape == (len(images), cfg.num_classes)
+        assert logits.shape == (len(images), NUM_CLASSES)
         assert len(records) == len(images)
         for image, row, record in zip(images, logits.data, records):
             one, one_record = forward(image, params, cfg)
@@ -325,7 +337,7 @@ class TestClassRowOnlyLastBlock:
 
     @staticmethod
     def _full_rows(images, params, cfg, rng=None):
-        """(batch, num_classes) logits and per-layer attention stacks with
+        """(batch, NUM_CLASSES) logits and per-layer attention stacks with
         every block on every row; train mode when rng is given."""
         z = embed_patches(patchify((images - 0.5) / 0.5, cfg), params)
         noise = None if rng is None else rng.random(
@@ -336,7 +348,7 @@ class TestClassRowOnlyLastBlock:
             recorded.append(attn.data)
         z = narrow(layer_norm(z, params.ln_f_gamma, params.ln_f_beta), 1, 0, 1)
         logits = matmul(z, params.fc_w) + params.fc_b
-        return reshape(logits, (len(images), cfg.num_classes)), recorded
+        return reshape(logits, (len(images), NUM_CLASSES)), recorded
 
     def test_eval_logits_and_attention_match_full_rows(self):
         cfg = ModelConfig()
