@@ -192,7 +192,7 @@ def cmd_eval(cfg: RunConfig) -> int:
                             perturbation="none", level=0)]
     else:
         base = load_manifest(_manifest_path(cfg), (cfg.split,)).split(cfg.split)
-        family = base[0].family if base else cfg.data.family
+        family = base[0].family
         if cfg.protocol == "in_dist":
             scored = score_samples(params, base, cfg.model)
             rows = [_report_row(cfg, scored, split=cfg.split, family=family,

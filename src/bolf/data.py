@@ -79,6 +79,8 @@ class DatasetSpec:
             raise ValueError("frames_per_video must be >= 1")
         if self.channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {self.channels}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,8 @@ class ModelParams:
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray],
                     requires_grad: bool = True) -> "ModelParams":
-        """Rebuild params from a name -> array mapping, validating shapes."""
+        """Rebuild params from a name -> array mapping, validating names,
+        shapes and that every value is finite."""
         expected = {name: shape for name, shape, _ in _param_table(config)}
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
@@ -201,6 +202,8 @@ class ModelParams:
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"parameter {name}: shape {arr.shape} != expected {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name}: non-finite values")
             mapping[name] = Tensor(arr, requires_grad=requires_grad)
         return _params_from_mapping(mapping, config.depth)
 

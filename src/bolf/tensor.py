@@ -11,6 +11,11 @@ order, which for a define-by-run graph is a valid topological order.
 Gradients accumulate additively across fan-out, so running several
 backward passes before clearing grads sums their contributions.
 
+Thirteen primitives have hand-written adjoints: add, mul, matmul,
+transpose, reshape, narrow, concat, sum_all, exp, log, softmax_rows,
+layer_norm and gelu. Five more ops are compositions of them and record
+no adjoint of their own: sub, neg, take, mean_all and dropout.
+
 :func:`grad_check` is the independent oracle: central finite differences
 on a sampled subset of coordinates, compared against the tape's
 analytic gradient. :func:`primitive_checks` is the table of probes it
@@ -29,6 +34,8 @@ from scipy.special import erf
 
 DTYPE = np.float64  # the dtype of tensors built from non-float input
 _FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+
+LN_EPS = 1e-5  # layer_norm's variance floor
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -219,21 +226,12 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
+    """``a + (-b)``, which IEEE arithmetic rounds exactly as ``a - b``."""
     a, b = _operands(a, b)
     try:
-        data = a.data - b.data
-    except ValueError:
+        return add(a, neg(b))
+    except ShapeMismatch:
         raise ShapeMismatch(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
-
-    def adjoint(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape), fresh=True)
-
-    _record(out, adjoint)
-    return out
 
 
 def mul(a, b) -> Tensor:
@@ -255,14 +253,8 @@ def mul(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = _wrap(a)
-    out = Tensor(-a.data, a.requires_grad)
-
-    def adjoint(g):
-        _accum(a, -g, fresh=True)
-
-    _record(out, adjoint)
-    return out
+    # wrapped first, so that a raw float32 array stays float32
+    return mul(_wrap(a), -1.0)
 
 
 def matmul(a, b) -> Tensor:
@@ -390,15 +382,7 @@ def take(a, index: int) -> Tensor:
         raise ShapeMismatch(f"take expects a vector, got shape {a.shape}")
     if not 0 <= index < a.shape[0]:
         raise ShapeMismatch(f"take: index {index} out of range for shape {a.shape}")
-    out = Tensor(a.data[index], a.requires_grad)
-
-    def adjoint(g):
-        buf = np.zeros_like(a.data)
-        buf[index] = g
-        _accum(a, buf, fresh=True)
-
-    _record(out, adjoint)
-    return out
+    return reshape(narrow(a, 0, index, 1), ())
 
 
 def sum_all(a) -> Tensor:
@@ -413,15 +397,10 @@ def sum_all(a) -> Tensor:
 
 
 def mean_all(a) -> Tensor:
+    """The sum times 1/size, which may differ from ``ndarray.mean()`` in the
+    last bit."""
     a = _wrap(a)
-    n = a.size
-    out = Tensor(a.data.mean(), a.requires_grad)
-
-    def adjoint(g):
-        _accum(a, np.full(a.data.shape, float(g) / n, dtype=a.data.dtype), fresh=True)
-
-    _record(out, adjoint)
-    return out
+    return mul(sum_all(a), 1.0 / a.size)
 
 
 def exp(a) -> Tensor:
@@ -481,10 +460,10 @@ def softmax_rows(x) -> Tensor:
     return out
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize each vector along the last axis, then apply the affine map.
 
-    Per vector: subtract the mean, divide by sqrt(variance + eps)
+    Per vector: subtract the mean, divide by sqrt(variance + LN_EPS)
     (population variance), scale by gamma and shift by beta.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
@@ -496,7 +475,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
     out = Tensor(gamma.data * xhat + beta.data,
                  x.requires_grad or gamma.requires_grad or beta.requires_grad)
@@ -545,15 +524,9 @@ def dropout(x, p: float, uniforms: np.ndarray | None) -> Tensor:
         return x
     if uniforms.shape != x.shape:
         raise ShapeMismatch(f"dropout: uniforms {uniforms.shape} != input {x.shape}")
-    keep = uniforms >= p  # a boolean mask holds 1/8 the bytes
-    scale = 1.0 / (1.0 - p)
-    out = Tensor(x.data * keep * scale, x.requires_grad)
-
-    def adjoint(g):
-        _accum(x, g * keep * scale, fresh=True)
-
-    _record(out, adjoint)
-    return out
+    # the mask is built in x's dtype, so mul need not cast it
+    mask = (uniforms >= p) * x.data.dtype.type(1.0 / (1.0 - p))
+    return mul(x, mask)
 
 
 # ---------------------------------------------------------------------------

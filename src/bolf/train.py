@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.weight_decay < 0.0 or self.clip_norm < 0.0:
             raise ValueError("weight_decay and clip_norm must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

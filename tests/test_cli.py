@@ -17,7 +17,7 @@ from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from bolf.data import FormatError, load_manifest, read_ppm
 from bolf.model import ModelConfig
 from bolf.tensor import Tensor, mul, sum_all
-from bolf.weights import save_weights
+from bolf.weights import load_weights, save_weights
 
 CFG_TEXT = """\
 # small end-to-end run
@@ -295,6 +295,28 @@ class TestExitCodes:
 
     def test_malformed_override(self, capsys):
         assert main(["gen-data", "--set", "train.epochs"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [["train"], ["gradcheck"],
+                                      ["eval", "--set", "run.protocol=perturbed"]])
+    def test_negative_seed(self, ws, argv, capsys):
+        # numpy's generators reject a negative seed with a traceback
+        assert main(argv + ["--config", ws["cfg"], "--out", str(ws["out"]),
+                            "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("fc_b", np.nan), ("layer0.wq", np.inf)])
+    def test_non_finite_weights(self, ws, tmp_path, capsys, name, value):
+        arrays = load_weights(ws["out"] / "weights.bolf")
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+        weights = tmp_path / "w.bolf"
+        save_weights(weights, arrays)  # a valid file with a valid checksum
+        image = next((ws["out"] / "images" / "test").glob("*.pgm"))
+        for argv in (["eval"], ["rollout", str(image)]):
+            assert main(argv + ["--config", ws["cfg"], "--out", str(tmp_path),
+                                "--set", f"run.weights_in={weights}"]) == EXIT_DATA
+            assert f"parameter {name}: non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_missing_manifest(self, ws, tmp_path, capsys):
         assert main(["train", "--config", ws["cfg"],

@@ -297,6 +297,49 @@ class TestDtypes:
         assert type(a.grad) is np.ndarray and a.grad == -1.0
 
 
+class TestCompositions:
+    """sub, neg and dropout are built from other primitives; they must
+    still give numpy's own values and gradients, bit for bit."""
+
+    @staticmethod
+    def _value_and_grads(f, *arrays):
+        """f's value and the gradients of sum(f(*arrays) * w), with w a
+        fixed weight of f's shape and dtype."""
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = f(*leaves)
+            w = np.random.default_rng(1).normal(size=out.shape).astype(out.data.dtype)
+            loss = sum_all(mul(out, w))
+        backward(loss, tape)
+        return out.data, w, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_match_numpy_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3, 4)).astype(dtype)
+        b = rng.normal(size=(4,)).astype(dtype)
+
+        out, w, (ga, gb) = self._value_and_grads(sub, a, b)
+        assert out.dtype == dtype and np.array_equal(out, a - b)
+        assert np.array_equal(ga, w) and np.array_equal(gb, -w.sum(axis=0))
+
+        out, w, (ga,) = self._value_and_grads(neg, a)
+        assert np.array_equal(out, -a) and np.array_equal(ga, -w)
+
+        u, p = rng.random(a.shape), 0.3
+        out, w, (ga,) = self._value_and_grads(lambda t: dropout(t, p, u), a)
+        scale = 1.0 / (1.0 - p)
+        assert out.dtype == dtype and np.array_equal(out, a * (u >= p) * scale)
+        assert ga.dtype == dtype and np.array_equal(ga, w * (u >= p) * scale)
+
+    def test_neg_keeps_a_raw_float32_array(self):
+        assert neg(np.ones(3, dtype=np.float32)).data.dtype == np.float32
+
+    def test_sub_shape_error_names_sub(self):
+        with pytest.raises(ShapeMismatch, match=r"^sub: shapes \(2, 3\) and \(4,\)"):
+            sub(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+
+
 class TestStructuralOps:
     def test_matmul_matches_triple_loop_exactly(self):
         # integer-valued operands make float64 products exact
@@ -397,7 +440,7 @@ class TestStructuralOps:
         assert take(v, 2).item() == 7.0
         with pytest.raises(ShapeMismatch):
             take(v, 3)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="take expects a vector"):
             take(Tensor(np.zeros((2, 2))), 0)
 
     def test_sum_and_mean(self):
