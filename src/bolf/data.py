@@ -6,6 +6,14 @@ tamper-style mix, so training on one and evaluating on the other is a
 genuine distribution shift. Every output is a pure function of
 (seed, identifiers): regenerating a sample always yields identical bits.
 
+As in the video benchmarks the paper follows, a fake is one manipulation
+applied to a whole video. Everything that depends only on the spec and the
+video id is computed once per video and reused for its frames: an
+original's base image (background, blobs, texture, capture blur) and a
+fake's tamper plan (region and feather, style and its draws, residue).
+Per frame remain an original's jitter and a fake's composition with the
+frame's pixels.
+
 The two properties the generators enforce by construction:
   * retention - a fake is bit-identical to its original outside the
     tamper mask;
@@ -16,6 +24,7 @@ The two properties the generators enforce by construction:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import zlib
@@ -144,13 +153,19 @@ def _family_texture(style: FamilyStyle, rng: np.random.Generator,
     return np.repeat(raw[:, :, None], c, axis=2)
 
 
-def gen_original(spec: DatasetSpec, video_id: str, frame_idx: int) -> ImageSample:
-    """Procedural face-like frame: smooth background gradient, a few soft
-    filled ellipses, and low-amplitude family texture.
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark an array that a per-video memo holds as read-only."""
+    array.flags.writeable = False
+    return array
 
-    All frames of one video share the same base image (background, blobs,
-    texture); per-frame jitter adds faint smooth noise and a brightness
-    wobble.
+
+@functools.lru_cache(maxsize=1)
+def _video_base(spec: DatasetSpec, video_id: str) -> np.ndarray:
+    """The (H, W, C) base image that every frame of a video shares:
+    background gradient, blobs, family texture and capture blur.
+
+    Memoized for the last video asked for, since frames come in video
+    order; the array is read-only.
     """
     style = FAMILIES[spec.family]
     h, w, c = spec.height, spec.width, spec.channels
@@ -179,7 +194,19 @@ def gen_original(spec: DatasetSpec, video_id: str, frame_idx: int) -> ImageSampl
     if base_rng.random() >= 0.4:
         sigma_v = base_rng.uniform(0.3, 1.1)
         img = gaussian_filter(img, sigma=(sigma_v, sigma_v, 0))
+    return _frozen(img)
 
+
+def gen_original(spec: DatasetSpec, video_id: str, frame_idx: int) -> ImageSample:
+    """Procedural face-like frame: smooth background gradient, a few soft
+    filled ellipses, and low-amplitude family texture.
+
+    All frames of one video share the same base image (background, blobs,
+    texture, capture blur), computed once per video; per frame only the
+    jitter is drawn: faint smooth noise and a brightness wobble.
+    """
+    h, w = spec.height, spec.width
+    img = _video_base(spec, video_id)
     frame_rng = _rng(spec.seed, "frame", video_id, frame_idx)
     jitter = gaussian_filter(frame_rng.standard_normal((h, w)), sigma=1.0)
     jitter = jitter / max(jitter.std(), 1e-9) * 0.008
@@ -229,44 +256,46 @@ def _lattice(h: int, w: int) -> np.ndarray:
     return np.where((yy // 4 + xx // 4) % 2 == 0, 1.0, -1.0)
 
 
-def gen_manipulated(original: ImageSample, spec: DatasetSpec) -> ImageSample:
-    """Derive a tampered copy of an original frame.
+@dataclass(frozen=True)
+class _TamperPlan:
+    """Everything one fake video's manipulation draws; no draw depends on
+    pixels. Arrays are read-only and broadcast over channels."""
 
-    The region, style, and style parameters are drawn once per source
-    video, so all frames of the derived fake video share the same
-    manipulation (analogous to one fake video). Pixels outside the mask
-    are bit-identical to the original.
+    kind: str  # one of _TAMPER_STYLES
+    mask: np.ndarray  # (H, W) bool
+    alpha: np.ndarray  # (H, W, 1) feather
+    keep: np.ndarray  # 1 - alpha
+    roll: tuple[int, int]  # warp, patch_blend
+    tex: np.ndarray | None  # texture_sub, (H, W, 1)
+    contrast: float  # color_shift
+    shift: float  # color_shift
+    grain_term: np.ndarray  # residue: (alpha * grain) * lattice
+    tilt_term: np.ndarray  # residue: alpha * tilt
+
+
+@functools.lru_cache(maxsize=1)
+def _tamper_plan(spec: DatasetSpec, video_id: str, h: int, w: int) -> _TamperPlan:
+    """Draw the manipulation of the source video ``video_id`` once.
+
+    Memoized for the last video asked for, like :func:`_video_base`.
     """
-    if original.label != 0:
-        raise ValueError("gen_manipulated needs an original (label 0) sample")
     style = FAMILIES[spec.family]
-    h, w, c = original.pixels.shape
-    rng = _rng(spec.seed, "tamper", original.video_id)
+    rng = _rng(spec.seed, "tamper", video_id)
 
     mask, feather = _tamper_region(rng, h, w)
-    alpha = feather[:, :, None]
+    alpha = _frozen(feather)[:, :, None]
     kind = _TAMPER_STYLES[rng.choice(len(_TAMPER_STYLES), p=style.tamper_mix)]
     amp = style.tamper_amp
-    src = original.pixels
-
-    if kind == "warp":
-        dy, dx = rng.choice((-1, 1), size=2) * rng.integers(4, 8, size=2)
-        moved = np.roll(src, (int(dy), int(dx)), axis=(0, 1))
-        out = alpha * moved + (1.0 - alpha) * src
+    roll, tex, contrast, shift = (0, 0), None, 1.0, 0.0
+    if kind in ("warp", "patch_blend"):
+        lo, hi = (4, 8) if kind == "warp" else (h // 4, h // 2)
+        dy, dx = rng.choice((-1, 1), size=2) * rng.integers(lo, hi, size=2)
+        roll = (int(dy), int(dx))
     elif kind == "texture_sub":
-        tex2d = rng.standard_normal((h, w)) * 0.18 * amp
-        smooth = gaussian_filter(src, sigma=(1.2, 1.2, 0))
-        out = alpha * (smooth + tex2d[:, :, None]) + (1.0 - alpha) * src
-    elif kind == "color_shift":
-        region_mean = src[mask].mean(axis=0)
+        tex = _frozen(rng.standard_normal((h, w)) * 0.18 * amp)[:, :, None]
+    else:  # color_shift
         contrast = rng.uniform(1.4, 1.8) if rng.random() < 0.5 else rng.uniform(0.35, 0.6)
         shift = rng.choice((-1.0, 1.0)) * rng.uniform(0.09, 0.15) * amp
-        adjusted = region_mean + contrast * (src - region_mean) + shift
-        out = alpha * adjusted + (1.0 - alpha) * src
-    else:  # patch_blend: foreign content from elsewhere in the image
-        dy, dx = rng.choice((-1, 1), size=2) * rng.integers(h // 4, h // 2, size=2)
-        foreign = np.roll(src, (int(dy), int(dx)), axis=(0, 1))
-        out = alpha * foreign + (1.0 - alpha) * src
 
     # Every style leaves the residue real pipelines do: a blending lattice
     # plus a low-frequency color mismatch, both confined to the mask. The
@@ -274,18 +303,47 @@ def gen_manipulated(original: ImageSample, spec: DatasetSpec) -> ImageSample:
     # Nyquist reach of the post-hoc distortions: a sigma=1.5 blur keeps
     # half its fundamental and 2x2 averaging keeps it outright, so the
     # signature stays detectable where single-pixel grain would vanish.
-    lattice = _lattice(h, w)
     grain = rng.uniform(0.16, 0.24) * amp
     tilt = rng.uniform(0.12, 0.18) * amp
-    out = out + (alpha * grain) * lattice[:, :, None] + alpha * tilt
+    return _TamperPlan(kind=kind, mask=_frozen(mask), alpha=alpha, keep=_frozen(1.0 - alpha),
+                       roll=roll, tex=tex, contrast=contrast, shift=shift,
+                       grain_term=_frozen((alpha * grain) * _lattice(h, w)[:, :, None]),
+                       tilt_term=_frozen(alpha * tilt))
+
+
+def gen_manipulated(original: ImageSample, spec: DatasetSpec) -> ImageSample:
+    """Derive a tampered copy of an original frame.
+
+    The region, style, style parameters and residue are drawn once per
+    source video (the tamper plan), so all frames of the derived fake
+    video share the same manipulation (analogous to one fake video); per
+    frame only the composition with the frame's pixels is computed. Pixels
+    outside the mask are bit-identical to the original.
+    """
+    if original.label != 0:
+        raise ValueError("gen_manipulated needs an original (label 0) sample")
+    h, w, _ = original.pixels.shape
+    plan = _tamper_plan(spec, original.video_id, h, w)
+    src = original.pixels
+
+    if plan.kind == "texture_sub":
+        smooth = gaussian_filter(src, sigma=(1.2, 1.2, 0))
+        tampered = smooth + plan.tex
+    elif plan.kind == "color_shift":
+        region_mean = src[plan.mask].mean(axis=0)
+        tampered = region_mean + plan.contrast * (src - region_mean) + plan.shift
+    else:  # warp, patch_blend: content moved from elsewhere in the image
+        tampered = np.roll(src, plan.roll, axis=(0, 1))
+    out = plan.alpha * tampered + plan.keep * src
+    out = out + plan.grain_term + plan.tilt_term
 
     out = np.clip(out, 0.0, 1.0)
     pixels = src.copy()
-    pixels[mask] = out[mask]
+    pixels[plan.mask] = out[plan.mask]
     return ImageSample(pixels=pixels, label=1,
                        video_id=original.video_id + "-f",
                        frame_idx=original.frame_idx,
-                       tamper_mask=mask, family=original.family)
+                       tamper_mask=plan.mask.copy(), family=original.family)
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,10 @@ def layer_norm(x, gamma, beta) -> Tensor:
             f"to match input {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # overflow is reported as NumericError below
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+    if not np.isfinite(var).all():
+        raise NumericError("layer_norm variance is not finite")
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
     out = Tensor(gamma.data * xhat + beta.data,

@@ -275,6 +275,18 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not weights.exists()
 
+    def test_layer_norm_overflow_exits_numeric(self, ws, tmp_path, capsys):
+        # a runaway step overflows layer_norm's float32 variance while the
+        # loss is still finite
+        shutil.copytree(ws["out"] / "images", tmp_path / "images")
+        shutil.copy(ws["out"] / "manifest.csv", tmp_path / "manifest.csv")
+        weights = tmp_path / "w.bolf"
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path),
+                     "--set", "train.lr0=1e6", "--set", "train.momentum=0.999999",
+                     "--set", f"run.weights_out={weights}"]) == EXIT_NUMERIC
+        assert "layer_norm variance is not finite" in capsys.readouterr().err
+        assert not weights.exists()
+
     def test_num_classes_is_not_a_key(self, capsys):
         # the head is fixed at two classes; the old key is unknown
         assert main(["gen-data", "--set", "model.num_classes=2"]) == EXIT_CONFIG

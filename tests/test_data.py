@@ -5,10 +5,16 @@ The single-pixel file oracle is written out byte-for-byte so any change
 to the header encoding fails loudly.
 """
 
+import contextlib
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bolf.data as data
+from bolf.cli import EXIT_OK, main
 from bolf.data import (
     FAMILIES,
     MANIFEST_COLUMNS,
@@ -385,6 +391,96 @@ class TestDatasetAssembly:
         for a, b in zip(alone, tiny_splits.test):
             assert (a.video_id, a.frame_idx, a.label) == (b.video_id, b.frame_idx, b.label)
             assert np.array_equal(a.pixels, b.pixels)
+
+
+def _fresh_pair(spec, video_id, frame):
+    """An original frame and its fake, generated with empty per-video memos."""
+    data._video_base.cache_clear()
+    data._tamper_plan.cache_clear()
+    orig = gen_original(spec, video_id, frame)
+    return orig, gen_manipulated(orig, spec)
+
+
+class TestPerVideoReuse:
+    """Each video's base image and tamper plan are computed once and shared
+    by its frames; the frames must not change because of it."""
+
+    # seed 9 gives each family all four tamper styles
+    PINNED_SPEC = {"train_count": 16, "val_count": 8, "test_count": 8,
+                   "frames_per_video": 3, "seed": 9}
+    # sha256 of the tree `bolf gen-data` writes with PINNED_SPEC
+    # (manifest.csv, then every image in path order)
+    PINNED = {
+        ("A", 1): "2754032e17da68f8cc2f1b43b4aabfbd649aedbb26e87d6b0bb7939291a6e776",
+        ("A", 3): "f81125fd771995ec2947709894e24b4a41cd5fdb9291e3f4cf35cf008ee366c9",
+        ("B", 1): "4d228735a4108253498d201a1f9cd1f17d3cd2cd552fb5e259dac12acf74f462",
+        ("B", 3): "e06efa9cc888c5867daaee03989fa39cf03e9975814a025dc272953047d517c4",
+    }
+    # sha256 of every sample's float pixels and tamper mask, in split order,
+    # from build_dataset on the same spec: the written images round to 8
+    # bits and would miss a last-bit change in the pixels the model reads
+    PINNED_SAMPLES = {
+        ("A", 1): "6a1cbbcff9dc5ada00737ec430b7747eba108147e824a40a7f285329949c9f53",
+        ("A", 3): "e0cca2783caa5d276aca88cd2a3c6026da949ad6f94ab15317686954894c25a9",
+        ("B", 1): "bd0d533742bf81983edd767024c6be5da493906ccdac6b324a3379ebfb676922",
+        ("B", 3): "8309c07fb3739bc49c023a1ca6a1334d800fa809b4bb127e4a7a8e53311fbae5",
+    }
+
+    @pytest.mark.parametrize("family, channels", sorted(PINNED))
+    def test_gen_data_corpus_is_pinned(self, tmp_path, family, channels):
+        argv = ["gen-data", "--out", str(tmp_path)]
+        for key, value in {**self.PINNED_SPEC, "family": family, "channels": channels}.items():
+            argv += ["--set", f"data.{key}={value}"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        digest = hashlib.sha256()
+        files = [tmp_path / "manifest.csv"] + sorted((tmp_path / "images").rglob("*.p?m"))
+        assert len(files) == 1 + 32
+        for path in files:
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.PINNED[family, channels]
+
+    @pytest.mark.parametrize("family, channels", sorted(PINNED_SAMPLES))
+    def test_build_dataset_samples_are_pinned(self, family, channels):
+        splits = build_dataset(DatasetSpec(family=family, channels=channels,
+                                           **self.PINNED_SPEC))
+        digest = hashlib.sha256()
+        for name in ("train", "val", "test"):
+            for sample in splits.split(name):
+                digest.update(sample.pixels.tobytes())
+                if sample.tamper_mask is not None:
+                    digest.update(sample.tamper_mask.tobytes())
+        assert digest.hexdigest() == self.PINNED_SAMPLES[family, channels]
+
+    def test_build_split_matches_fresh_per_frame_calls(self):
+        # 7 and 5 originals over videos of 3 frames: each split ends on a
+        # partial video
+        spec = DatasetSpec(family="B", channels=3, train_count=14, val_count=10,
+                           test_count=4, frames_per_video=3, seed=4)
+        for split in ("train", "val"):
+            samples = build_split(spec, split)
+            for i in range(0, len(samples), 2):
+                orig, fake = samples[i], samples[i + 1]
+                want_orig, want_fake = _fresh_pair(spec, orig.video_id, orig.frame_idx)
+                for got, want in ((orig, want_orig), (fake, want_fake)):
+                    assert (got.video_id, got.frame_idx, got.label) == \
+                        (want.video_id, want.frame_idx, want.label)
+                    assert got.pixels.tobytes() == want.pixels.tobytes()
+                assert np.array_equal(fake.tamper_mask, want_fake.tamper_mask)
+
+    def test_writing_a_sample_leaves_the_next_frame_alone(self):
+        want_orig, want_fake = _fresh_pair(SPEC32, "A-w-000", 1)
+        orig = gen_original(SPEC32, "A-w-000", 0)
+        fake = gen_manipulated(orig, SPEC32)
+        orig.pixels[:] = 0.0
+        fake.pixels[:] = 1.0
+        fake.tamper_mask[:] = ~fake.tamper_mask
+        next_orig = gen_original(SPEC32, "A-w-000", 1)
+        next_fake = gen_manipulated(next_orig, SPEC32)
+        assert next_orig.pixels.tobytes() == want_orig.pixels.tobytes()
+        assert next_fake.pixels.tobytes() == want_fake.pixels.tobytes()
+        assert np.array_equal(next_fake.tamper_mask, want_fake.tamper_mask)
 
 
 class TestManifest:

@@ -511,6 +511,13 @@ class TestNonlinearOps:
         scaled = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
         assert np.allclose(scaled, 2.0 * plain + 10.0, atol=1e-12)
 
+    def test_layer_norm_variance_overflow_raises(self):
+        # in float32 a squared deviation beyond about 1.8e19 overflows
+        x = Tensor(np.array([[3e19, -3e19, 1.0, 2.0]], dtype=np.float32))
+        gamma, beta = Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))
+        with pytest.raises(NumericError, match="layer_norm"):
+            layer_norm(x, gamma, beta)
+
     def test_layer_norm_shape_validation(self):
         x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ShapeMismatch):

@@ -46,3 +46,22 @@ def test_tracer_wraps_and_restores_every_binding():
     for (where, attr, _), before, after in zip(spans.WRAPPED, original,
                                                _bindings(spans, modules)):
         assert after is before, f"{where}.{attr} was not restored"
+
+
+def test_traced_build_split_records_one_span_per_frame():
+    # data.gen_ms_per_frame divides generation time by these span counts
+    spans = _load_spans()
+    modules = {m: importlib.import_module(f"bolf.{m}")
+               for m in ("cli", "data", "model", "train")}
+    spec = modules["data"].DatasetSpec(train_count=14, frames_per_video=3,
+                                       height=16, width=16)
+    tracer = spans.Tracer(modules)
+    try:
+        tracer.install()
+        samples = modules["data"].build_split(spec, "train")
+    finally:
+        tracer.remove()
+    names = [span[1] for span in tracer.spans]
+    labels = [s.label for s in samples]
+    assert names.count("data.gen_original") == labels.count(0) == 7
+    assert names.count("data.gen_manipulated") == labels.count(1) == 7
