@@ -8,10 +8,9 @@ local tampering, and rank-based evaluation metrics.
 
 from .tensor import (DTYPE, GradCheckReport, NumericError, ShapeMismatch, Tape,
                      TapeError, Tensor, backward, grad_check)
-from .model import (AttentionRecord, ModelConfig, ModelParams, PatchBag,
-                    attention_rollout, embed_patches, forward, heatmap_mask_mass,
-                    heatmap_to_image, init_params, multi_head_attention, patchify,
-                    scaled_dot_attention, unpatchify)
+from .model import (ModelConfig, ModelParams, attention_rollout, embed_patches, forward,
+                    heatmap_mask_mass, heatmap_to_image, init_params, multi_head_attention,
+                    patchify, scaled_dot_attention, unpatchify)
 from .metrics import ScoredSample, UndefinedMetric, accuracy, roc_auc, video_level
 from .train import (EpochStats, MomentumSGD, NonFiniteLoss, TrainConfig,
                     cosine_lr, cross_entropy, evaluate, fake_score, train)
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DTYPE", "Tensor", "Tape", "backward", "grad_check", "GradCheckReport",
     "ShapeMismatch", "NumericError", "TapeError",
-    "ModelConfig", "ModelParams", "PatchBag", "AttentionRecord",
+    "ModelConfig", "ModelParams",
     "patchify", "unpatchify", "embed_patches", "scaled_dot_attention",
     "multi_head_attention", "forward", "init_params", "attention_rollout",
     "heatmap_to_image", "heatmap_mask_mass",

@@ -219,8 +219,8 @@ def cmd_rollout(cfg: RunConfig, image_path: str) -> int:
         raise FormatError(f"{image_path}: image shape {pixels.shape} does not "
                           f"match model input {expected}")
 
-    logits, record = forward(pixels, params, cfg.model)
-    weights = attention_rollout(record)
+    logits, attn = forward(pixels, params, cfg.model)
+    weights = attention_rollout(attn)
     pixel_map = heatmap_to_image(weights, cfg.model)
 
     span = pixel_map.max() - pixel_map.min()
@@ -243,7 +243,7 @@ def cmd_rollout(cfg: RunConfig, image_path: str) -> int:
     overlay_path = out_dir / f"{stem}-overlay.ppm"
     write_ppm(overlay_path, 0.5 * base + 0.5 * heat_rgb)
 
-    print(f"fake_score {fake_score(logits)!r}")
+    print(f"fake_score {float(fake_score(logits.data))!r}")
     print(f"wrote {heat_path} and {overlay_path}")
     return EXIT_OK
 

@@ -371,10 +371,8 @@ def _apply_kind(pixels: np.ndarray, kind: str, level: int,
         out = gaussian_filter(pixels, sigma=(radius / 2.0, radius / 2.0, 0), truncate=2.0)
     elif kind == "block_quantize":
         out = _block_mean(pixels, QUANT_BLOCK_PER_LEVEL * level)
-    elif kind == "brightness_shift":
+    else:  # brightness_shift
         out = pixels + rng.choice((-1.0, 1.0)) * BRIGHTNESS_PER_LEVEL * level
-    else:
-        raise ValueError(f"unknown kind {kind!r}; have {PERTURBATION_KINDS}")
     return np.clip(out, 0.0, 1.0)
 
 

@@ -9,8 +9,8 @@ connection) mixes patch information; the classifier reads only the
 class-token row. Everything after the last block's attention is
 row-wise, so that block's MLP and the final layer norm run on the
 class-token row alone. Per-head attention matrices are recorded whole,
-for every token of every layer, so the decision can be attributed back
-to patches via attention rollout.
+for every token of every layer, and returned as one array, so the
+decision can be attributed back to patches via attention rollout.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .tensor import (
+    DTYPE,
     Tensor,
     ShapeMismatch,
     concat,
@@ -87,45 +88,33 @@ class ModelConfig:
         return self.dim // self.heads
 
 
-@dataclass
-class PatchBag:
-    """The patch matrix plus the grid geometry needed to invert it."""
-
-    patches: Tensor  # ([batch,] num_patches, patch_len), row-major over the grid
-    grid_rows: int
-    grid_cols: int
-    patch_size: int
-    channels: int
-
-
-def patchify(image, config: ModelConfig) -> PatchBag:
+def patchify(image, config: ModelConfig) -> np.ndarray:
     """Cut an image, or each image of a (batch, h, w, c) stack, into
-    non-overlapping patch_size tiles, row-major.
+    non-overlapping patch_size tiles, row-major over the grid.
 
-    Each bag row is the row-major flattening of one tile
-    (rows, then columns, then channels). Float32 and float64 pixels keep
-    their dtype; other input becomes a float64 bag.
+    Returns a fresh ([batch,] num_patches, patch_len) array. Each row is
+    the row-major flattening of one tile (rows, then columns, then
+    channels). Float32 and float64 pixels keep their dtype; other input
+    becomes float64.
     """
     pixels = image.data if isinstance(image, Tensor) else np.asarray(image)
     expect = (config.height, config.width, config.channels)
     if pixels.ndim not in (3, 4) or pixels.shape[-3:] != expect:
         raise ShapeMismatch(f"patchify: image shape {pixels.shape} != configured {expect}")
     p = config.patch_size
-    gh, gw = config.grid_rows, config.grid_cols
     lead = pixels.shape[:-3]
-    tiles = (pixels.reshape(lead + (gh, p, gw, p, config.channels))
+    tiles = (pixels.reshape(lead + (config.grid_rows, p, config.grid_cols, p, config.channels))
              .swapaxes(-4, -3)
              .reshape(lead + (config.num_patches, config.patch_len)))
-    return PatchBag(Tensor(tiles.copy()), gh, gw, p, config.channels)
+    return tiles.astype(tiles.dtype if tiles.dtype in (np.float32, np.float64) else DTYPE)
 
 
-def unpatchify(bag: PatchBag) -> np.ndarray:
+def unpatchify(patches: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Exact inverse of patchify (bit-for-bit roundtrip)."""
-    p, c = bag.patch_size, bag.channels
-    gh, gw = bag.grid_rows, bag.grid_cols
-    lead = bag.patches.shape[:-2]
-    tiles = bag.patches.data.reshape(lead + (gh, gw, p, p, c))
-    return tiles.swapaxes(-4, -3).reshape(lead + (gh * p, gw * p, c)).copy()
+    p, c = config.patch_size, config.channels
+    lead = patches.shape[:-2]
+    tiles = patches.reshape(lead + (config.grid_rows, config.grid_cols, p, p, c))
+    return tiles.swapaxes(-4, -3).reshape(lead + (config.height, config.width, c)).copy()
 
 
 @dataclass
@@ -264,11 +253,12 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
          for name, shape, init in _param_table(config)}, config.depth)
 
 
-def embed_patches(bag: PatchBag, params: ModelParams) -> Tensor:
-    """Project each patch to the embedding width, prepend the class token,
-    and add position embeddings. Row 0 of each bag is the class-token slot."""
-    projected = matmul(bag.patches, params.patch_w) + params.patch_b
-    # one class-token row per bag: adding zeros broadcasts it over the batch
+def embed_patches(patches: np.ndarray, params: ModelParams) -> Tensor:
+    """Project each patch of a ([batch,] num_patches, patch_len) array to
+    the embedding width, prepend the class token, and add position
+    embeddings. Row 0 of each image's tokens is the class-token slot."""
+    projected = matmul(patches, params.patch_w) + params.patch_b
+    # one class-token row per image: adding zeros broadcasts it over the batch
     cls = params.cls_token + np.zeros(projected.shape[:-2] + params.cls_token.shape)
     return concat([cls, projected], axis=-2) + params.pos_embed
 
@@ -333,25 +323,10 @@ def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
     return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attn
 
 
-@dataclass
-class AttentionRecord:
-    """Per-layer, per-head row-stochastic attention matrices."""
-
-    layers: list  # [depth] of (heads, tokens, tokens) stacks, one matrix per head
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def heads(self) -> int:
-        return len(self.layers[0]) if self.layers else 0
-
-
 def forward(images, params: ModelParams, config: ModelConfig,
             train: bool = False,
             rng: np.random.Generator | None = None,
-            ) -> tuple[Tensor, AttentionRecord | list[AttentionRecord]]:
+            ) -> tuple[Tensor, np.ndarray]:
     """Full pass: standardize, patchify, embed, encoder stack, final layer
     norm, then a fully-connected classifier on the class-token row only.
     The classifier needs no other row, so the last block narrows to the
@@ -360,9 +335,10 @@ def forward(images, params: ModelParams, config: ModelConfig,
 
     ``images`` is a (batch, height, width, channels) stack, which moves
     through every layer as one (batch, tokens, dim) tensor and gives
-    (batch, NUM_CLASSES) logits and one AttentionRecord per image. A single
-    (height, width, channels) image runs as a batch of one and gives
-    (NUM_CLASSES,) logits and its AttentionRecord.
+    (batch, NUM_CLASSES) logits and the (batch, depth, heads, tokens,
+    tokens) array of every block's row-stochastic attention matrices. A
+    single (height, width, channels) image runs as a batch of one and gives
+    (NUM_CLASSES,) logits and its (depth, heads, tokens, tokens) attention.
 
     The pass runs in the dtype of the parameters, float32 or float64, and
     pixels are cast to it. They arrive in [0, 1] and are mapped to [-1, 1]
@@ -394,38 +370,42 @@ def forward(images, params: ModelParams, config: ModelConfig,
         layer_noise.append(noise[:, -1, :1])  # the last block's class row
     recorded = []
     for i, (layer, uniforms) in enumerate(zip(params.layers, layer_noise)):
-        z, attn = encoder_block(z, layer, config, uniforms, cls_only=i == config.depth - 1)
-        recorded.append(attn.data)
+        z, layer_attn = encoder_block(z, layer, config, uniforms,
+                                      cls_only=i == config.depth - 1)
+        recorded.append(layer_attn.data)
     cls_rows = layer_norm(z, params.ln_f_gamma, params.ln_f_beta)
     logits = reshape(matmul(cls_rows, params.fc_w) + params.fc_b,
                      (NUM_CLASSES,) if single else (batch, NUM_CLASSES))
-    records = [AttentionRecord([attn[b] for attn in recorded]) for b in range(batch)]
-    return logits, records[0] if single else records
+    attn = np.stack(recorded, axis=1)
+    return logits, attn[0] if single else attn
 
 
-def attention_rollout(record: AttentionRecord) -> np.ndarray:
+def attention_rollout(attn: np.ndarray) -> np.ndarray:
     """Attribute the class-token decision to patches across the stack.
 
-    Per layer: average the heads, then mix with the identity
-    (0.5 A + 0.5 I, row-renormalized) to account for the residual path.
-    The adjusted matrices are multiplied last-layer-first; the heatmap is
-    the class-token row restricted to the patch columns, renormalized to
-    sum to 1.
+    ``attn`` is one image's (depth, heads, tokens, tokens) attention, or a
+    stack of them with any leading axes; the result is the matching
+    ([...,] num_patches) heatmaps. Per layer: average the heads, then mix
+    with the identity (0.5 A + 0.5 I, row-renormalized) to account for the
+    residual path. The adjusted matrices are multiplied last-layer-first;
+    the heatmap is the class-token row restricted to the patch columns,
+    renormalized to sum to 1.
     """
-    if not record.layers:
-        raise ValueError("attention rollout needs at least one recorded layer")
-    rollout = None
-    for heads in record.layers:
-        avg = np.mean(heads, axis=0)
-        mixed = 0.5 * avg + 0.5 * np.eye(avg.shape[0])
-        mixed = mixed / mixed.sum(axis=1, keepdims=True)
-        rollout = mixed if rollout is None else mixed @ rollout
-    weights = rollout[0, 1:]
-    total = weights.sum()
-    if total <= 0.0:
-        # cannot happen for row-stochastic inputs; guard anyway
-        return np.full_like(weights, 1.0 / weights.size)
-    return weights / total
+    attn = np.asarray(attn)
+    if attn.ndim < 4 or attn.shape[-4] == 0:
+        raise ValueError(f"attention rollout needs (..., depth >= 1, heads, tokens, tokens) "
+                         f"matrices, got shape {attn.shape}")
+    avg = np.mean(attn, axis=-3)
+    mixed = 0.5 * avg + 0.5 * np.eye(avg.shape[-1])
+    mixed = mixed / mixed.sum(axis=-1, keepdims=True)
+    rollout = mixed[..., 0, :, :]
+    for layer in range(1, mixed.shape[-3]):
+        rollout = mixed[..., layer, :, :] @ rollout
+    weights = rollout[..., 0, 1:]
+    # a class row with no mass on the patches (pure self-attention) spreads
+    # evenly instead of dividing by zero
+    weights = np.where(weights.sum(axis=-1, keepdims=True) > 0.0, weights, 1.0)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def heatmap_to_image(weights: np.ndarray, config: ModelConfig) -> np.ndarray:

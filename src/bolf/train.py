@@ -35,8 +35,6 @@ class TrainConfig:
     lr_min: float = 0.0
     seed: int = 0
     eval_every: int = 1
-    weight_decay: float = 0.0  # off unless set
-    clip_norm: float = 0.0  # off unless set
 
     def __post_init__(self):
         if not self.lr0 > self.lr_min >= 0.0:
@@ -49,8 +47,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if self.weight_decay < 0.0 or self.clip_norm < 0.0:
-            raise ValueError("weight_decay and clip_norm must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -100,18 +96,11 @@ def cosine_lr(t: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> floa
 
 class MomentumSGD:
     """Classic momentum (no Nesterov): v <- m*v + g; p <- p - lr*v.
+    Grads are cleared after each step."""
 
-    Weight decay, when enabled, adds wd*p to the raw gradient; clip_norm,
-    when enabled, rescales the global gradient norm first. Grads are
-    cleared after each step.
-    """
-
-    def __init__(self, params: list[Tensor], momentum: float = 0.9,
-                 weight_decay: float = 0.0, clip_norm: float = 0.0):
+    def __init__(self, params: list[Tensor], momentum: float = 0.9):
         self.params = list(params)
         self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.clip_norm = clip_norm
         self.velocities = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
@@ -119,32 +108,18 @@ class MomentumSGD:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ValueError(f"parameter {i} has no gradient; run backward first")
-        if self.clip_norm > 0.0:
-            norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in self.params))
-            if norm > self.clip_norm:
-                scale = self.clip_norm / norm
-                for p in self.params:
-                    p.grad *= scale
         for p, v in zip(self.params, self.velocities):
-            g = p.grad
-            if self.weight_decay > 0.0:
-                g = g + self.weight_decay * p.data
             v *= self.momentum
-            v += g
+            v += p.grad
             p.data -= lr * v
             p.grad = None
         self.t += 1
 
 
-def _fake_probs(logits: np.ndarray) -> np.ndarray:
+def fake_score(logits: np.ndarray) -> np.ndarray:
     """Tampered-class probability along the last axis of raw logits."""
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e[..., 1] / e.sum(axis=-1)
-
-
-def fake_score(logits: Tensor) -> float:
-    """Probability of the tampered class from raw logits."""
-    return float(_fake_probs(logits.data))
 
 
 def score_samples(params: ModelParams, samples, config: ModelConfig) -> list[ScoredSample]:
@@ -155,7 +130,7 @@ def score_samples(params: ModelParams, samples, config: ModelConfig) -> list[Sco
         chunk = samples[start:start + SCORE_CHUNK]
         logits, _ = forward(np.stack([s.pixels for s in chunk]), params, config)
         out += [ScoredSample(float(p), s.label, s.video_id)
-                for p, s in zip(_fake_probs(logits.data), chunk)]
+                for p, s in zip(fake_score(logits.data), chunk)]
     return out
 
 
@@ -233,10 +208,7 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
-    opt = MomentumSGD([t for _, t in named],
-                      momentum=train_cfg.momentum,
-                      weight_decay=train_cfg.weight_decay,
-                      clip_norm=train_cfg.clip_norm)
+    opt = MomentumSGD([t for _, t in named], momentum=train_cfg.momentum)
 
     history: list[EpochStats] = []
     for epoch in range(train_cfg.epochs):

@@ -115,6 +115,24 @@ class TestTrain:
         assert float(row[header.index("acc")]) == train_acc
         assert float(row[header.index("auc_frame")]) == train_auc
 
+    def test_skipped_eval_epochs_leave_val_blank(self, ws, tmp_path, capsys):
+        # with eval_every=2 epoch 0 skips the val pass; epoch 1 is due and
+        # epoch 2 is the last, so both evaluate
+        shutil.copytree(ws["out"] / "images", tmp_path / "images")
+        shutil.copy(ws["out"] / "manifest.csv", tmp_path / "manifest.csv")
+        capsys.readouterr()
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path),
+                     "--set", "train.eval_every=2", "--set", "train.epochs=3"]) == EXIT_OK
+        rows = _read_csv(tmp_path / "history.csv")
+        header = rows[0]
+        val = [(r[header.index("val_acc")], r[header.index("val_auc")]) for r in rows[1:]]
+        assert val[0] == ("", "")
+        assert all(acc and auc for acc, auc in val[1:])
+        epochs = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch")]
+        assert len(epochs) == 3
+        assert "val_" not in epochs[0]
+        assert all("val_acc" in l and "val_auc" in l for l in epochs[1:])
+
     def test_seed_flag_changes_weights(self, ws):
         out = ws["root"] / "seeded"
         assert main(["gen-data", "--config", ws["cfg"], "--out", str(out)]) == EXIT_OK
@@ -270,7 +288,7 @@ class TestExitCodes:
     def test_non_finite_float_override(self, ws, tmp_path, capsys):
         weights = tmp_path / "w.bolf"
         assert main(["train", "--config", ws["cfg"], "--out", str(ws["out"]),
-                     "--set", "train.weight_decay=nan",
+                     "--set", "train.momentum=nan",
                      "--set", f"run.weights_out={weights}"]) == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
         assert not weights.exists()
@@ -352,6 +370,14 @@ class TestExitCodes:
         (tmp_path / "manifest.csv").write_bytes(manifest.replace(b"-f,", b"-\xff,", 1))
         assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path)]) == EXIT_DATA
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_oversized_manifest_field(self, ws, tmp_path, capsys):
+        # a field past csv's 131072-character limit is a data error
+        manifest = (ws["out"] / "manifest.csv").read_bytes()
+        (tmp_path / "manifest.csv").write_bytes(
+            manifest.replace(b"images/", b"images/" + b"x" * 131073, 1))
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path)]) == EXIT_DATA
+        assert "field larger than field limit" in capsys.readouterr().err
 
     def test_nul_byte_in_manifest_path(self, ws, tmp_path, capsys):
         manifest = (ws["out"] / "manifest.csv").read_bytes()

@@ -623,6 +623,12 @@ class TestManifest:
         with pytest.raises(FormatError, match="unknown family"):
             load_manifest(path)
 
+    def test_oversized_field_rejected(self, tmp_path):
+        # csv refuses a field longer than its limit of 131072 characters
+        path = self._write_row(tmp_path, "x" * 131073 + ",0,v,0,A,train")
+        with pytest.raises(FormatError, match="field larger than field limit"):
+            load_manifest(path)
+
     def test_short_row_rejected(self, tmp_path):
         path = self._write_row(tmp_path, "x,0,v,0,A")
         with pytest.raises(FormatError):

@@ -9,10 +9,8 @@ import pytest
 
 from bolf.model import (
     NUM_CLASSES,
-    AttentionRecord,
     ModelConfig,
     ModelParams,
-    PatchBag,
     attention_rollout,
     embed_patches,
     encoder_block,
@@ -64,12 +62,12 @@ class TestModelConfig:
 class TestPatchify:
     def test_roundtrip_is_bit_exact(self, tiny_model_cfg):
         img = _image(tiny_model_cfg, seed=7)
-        assert np.array_equal(unpatchify(patchify(img, tiny_model_cfg)), img)
+        assert np.array_equal(unpatchify(patchify(img, tiny_model_cfg), tiny_model_cfg), img)
 
     def test_roundtrip_full_size(self):
         cfg = ModelConfig()
         img = _image(cfg, seed=1)
-        assert np.array_equal(unpatchify(patchify(img, cfg)), img)
+        assert np.array_equal(unpatchify(patchify(img, cfg), cfg), img)
 
     def test_known_tile_layout(self):
         # patches are row-major over the grid; each row is the row-major
@@ -77,19 +75,18 @@ class TestPatchify:
         cfg = ModelConfig(height=4, width=4, channels=1, patch_size=2,
                           dim=4, depth=1, heads=1, mlp_ratio=1)
         img = np.arange(16.0).reshape(4, 4, 1)
-        bag = patchify(img, cfg)
-        assert bag.patches.shape == (4, 4)
-        assert np.array_equal(bag.patches.data[0], [0.0, 1.0, 4.0, 5.0])
-        assert np.array_equal(bag.patches.data[1], [2.0, 3.0, 6.0, 7.0])
-        assert np.array_equal(bag.patches.data[2], [8.0, 9.0, 12.0, 13.0])
+        patches = patchify(img, cfg)
+        assert patches.shape == (4, 4)
+        assert np.array_equal(patches[0], [0.0, 1.0, 4.0, 5.0])
+        assert np.array_equal(patches[1], [2.0, 3.0, 6.0, 7.0])
+        assert np.array_equal(patches[2], [8.0, 9.0, 12.0, 13.0])
 
     def test_channels_flatten_last(self):
         cfg = ModelConfig(height=2, width=2, channels=3, patch_size=2,
                           dim=4, depth=1, heads=1, mlp_ratio=1)
         img = np.arange(12.0).reshape(2, 2, 3)
-        bag = patchify(img, cfg)
         # (row, col, channel) order within the single tile
-        assert np.array_equal(bag.patches.data[0], np.arange(12.0))
+        assert np.array_equal(patchify(img, cfg)[0], np.arange(12.0))
 
     def test_wrong_shape_rejected(self, tiny_model_cfg):
         with pytest.raises(ShapeMismatch):
@@ -97,9 +94,19 @@ class TestPatchify:
 
     def test_accepts_tensor_input(self, tiny_model_cfg):
         img = _image(tiny_model_cfg)
-        a = patchify(img, tiny_model_cfg).patches.data
-        b = patchify(Tensor(img), tiny_model_cfg).patches.data
+        a = patchify(img, tiny_model_cfg)
+        b = patchify(Tensor(img), tiny_model_cfg)
         assert np.array_equal(a, b)
+
+    def test_dtype_and_fresh_copy(self, tiny_model_cfg):
+        img = _image(tiny_model_cfg)
+        assert patchify(img.astype(np.float32), tiny_model_cfg).dtype == np.float32
+        assert patchify((img * 255).astype(np.uint8), tiny_model_cfg).dtype == np.float64
+        patches = patchify(img, tiny_model_cfg)
+        patches[...] = 0.0
+        assert not np.shares_memory(patches, img)
+        back = unpatchify(patches, tiny_model_cfg)
+        assert not np.shares_memory(back, patches)
 
 
 class TestParams:
@@ -216,22 +223,16 @@ class TestForward:
 
     def test_attention_record_geometry(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
-        _, record = forward(_image(tiny_model_cfg), params, tiny_model_cfg)
-        assert record.depth == tiny_model_cfg.depth
-        assert record.heads == tiny_model_cfg.heads
+        _, attn = forward(_image(tiny_model_cfg), params, tiny_model_cfg)
         tokens = tiny_model_cfg.num_patches + 1
-        for layer in record.layers:
-            for attn in layer:
-                assert attn.shape == (tokens, tokens)
+        assert attn.shape == (tiny_model_cfg.depth, tiny_model_cfg.heads, tokens, tokens)
 
     def test_attention_rows_are_stochastic(self):
         cfg = ModelConfig()
         params = init_params(cfg, seed=0)
-        _, record = forward(_image(cfg), params, cfg)
-        for layer in record.layers:
-            for attn in layer:
-                assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-                assert (attn >= 0.0).all()
+        _, attn = forward(_image(cfg), params, cfg)
+        assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
+        assert (attn >= 0.0).all()
 
     def test_residual_identity_with_zeroed_block_weights(self, tiny_model_cfg, flat_params):
         # with wq..wo and both MLP matrices zero the block must return its
@@ -246,19 +247,15 @@ class TestForward:
         # the image permutes tokens without changing the logits
         params = init_params(tiny_model_cfg, seed=0)
         img = _image(tiny_model_cfg, seed=3)
-        bag = patchify(img, tiny_model_cfg)
         perm = np.random.default_rng(0).permutation(tiny_model_cfg.num_patches)
-        shuffled = unpatchify(PatchBag(Tensor(bag.patches.data[perm]),
-                                       bag.grid_rows, bag.grid_cols,
-                                       bag.patch_size, bag.channels))
+        shuffled = unpatchify(patchify(img, tiny_model_cfg)[perm], tiny_model_cfg)
         base, _ = forward(img, params, tiny_model_cfg)
         mixed, _ = forward(shuffled, params, tiny_model_cfg)
         assert np.allclose(base.data, mixed.data, atol=1e-8)
 
     def test_embed_prepends_class_token(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
-        bag = patchify(_image(tiny_model_cfg), tiny_model_cfg)
-        z = embed_patches(bag, params)
+        z = embed_patches(patchify(_image(tiny_model_cfg), tiny_model_cfg), params)
         assert z.shape == (tiny_model_cfg.num_patches + 1, tiny_model_cfg.dim)
         # pos_embed is zero at init, so row 0 is exactly the class token
         assert np.array_equal(z.data[0], params.cls_token.data[0])
@@ -276,17 +273,15 @@ class TestBatchedForward:
         cfg = ModelConfig()
         params = init_params(cfg, seed=1)
         images = self._stack(cfg)
-        logits, records = forward(images, params, cfg)
+        logits, attn = forward(images, params, cfg)
         assert logits.shape == (len(images), NUM_CLASSES)
-        assert len(records) == len(images)
-        for image, row, record in zip(images, logits.data, records):
-            one, one_record = forward(image, params, cfg)
+        assert attn.shape == (len(images), cfg.depth, cfg.heads,
+                              cfg.num_patches + 1, cfg.num_patches + 1)
+        for image, row, image_attn in zip(images, logits.data, attn):
+            one, one_attn = forward(image, params, cfg)
             assert np.max(np.abs(row - one.data)) <= 1e-12
-            assert record.depth == one_record.depth
-            assert record.heads == one_record.heads
-            for heads, one_heads in zip(record.layers, one_record.layers):
-                for attn, one_attn in zip(heads, one_heads):
-                    assert np.max(np.abs(attn - one_attn)) <= 1e-12
+            assert one_attn.shape == image_attn.shape
+            assert np.max(np.abs(image_attn - one_attn)) <= 1e-12
 
     def test_batch_gradient_is_sum_of_sample_gradients(self, tiny_model_cfg):
         cfg = tiny_model_cfg
@@ -313,20 +308,18 @@ class TestBatchedForward:
     def test_single_image_is_a_batch_of_one(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
         img = _image(tiny_model_cfg)
-        one, record = forward(img, params, tiny_model_cfg)
-        stacked, records = forward(img[None], params, tiny_model_cfg)
+        one, attn = forward(img, params, tiny_model_cfg)
+        stacked, stacked_attn = forward(img[None], params, tiny_model_cfg)
         assert np.array_equal(one.data, stacked.data[0])
-        for a, b in zip(record.layers, records[0].layers):
-            assert np.array_equal(a, b)
+        assert np.array_equal(attn, stacked_attn[0])
 
     def test_batched_patchify_roundtrip(self, tiny_model_cfg):
         images = self._stack(tiny_model_cfg, n=3)
-        bag = patchify(images, tiny_model_cfg)
-        assert bag.patches.shape == (3, tiny_model_cfg.num_patches,
-                                     tiny_model_cfg.patch_len)
-        for image, patches in zip(images, bag.patches.data):
-            assert np.array_equal(patches, patchify(image, tiny_model_cfg).patches.data)
-        assert np.array_equal(unpatchify(bag), images)
+        stacked = patchify(images, tiny_model_cfg)
+        assert stacked.shape == (3, tiny_model_cfg.num_patches, tiny_model_cfg.patch_len)
+        for image, patches in zip(images, stacked):
+            assert np.array_equal(patches, patchify(image, tiny_model_cfg))
+        assert np.array_equal(unpatchify(stacked, tiny_model_cfg), images)
 
 
 class TestClassRowOnlyLastBlock:
@@ -354,21 +347,17 @@ class TestClassRowOnlyLastBlock:
         cfg = ModelConfig()
         params = init_params(cfg, seed=1)
         images = np.stack([_image(cfg, seed=s) for s in range(5)])
-        logits, records = forward(images, params, cfg)
+        logits, attn = forward(images, params, cfg)
         ref_logits, ref_attn = self._full_rows(images, params, cfg)
         # the class row goes through the same products either way, so with
         # OpenBLAS the logits agree bit for bit
         assert np.max(np.abs(logits.data - ref_logits.data)) <= 1e-12
-        for b, record in enumerate(records):
-            assert record.depth == cfg.depth
-            for heads, ref in zip(record.layers, ref_attn):
-                assert np.array_equal(heads, ref[b])
+        assert np.array_equal(attn, np.stack(ref_attn, axis=1))
         # a batch of one makes the last MLP's products one row long, which
         # BLAS may sum in another order (a matrix-vector kernel)
-        one, record = forward(images[0], params, cfg)
+        one, one_attn = forward(images[0], params, cfg)
         assert np.max(np.abs(one.data - ref_logits.data[0])) <= 1e-12
-        for heads, ref in zip(record.layers, ref_attn):
-            assert np.array_equal(heads, ref[0])
+        assert np.array_equal(one_attn, np.stack(ref_attn, axis=1)[0])
 
     def test_train_logits_gradients_and_stream_match_full_rows(self):
         cfg = ModelConfig(height=16, width=16, channels=1, patch_size=4, dim=16,
@@ -440,13 +429,15 @@ class TestAttentionOracle:
 
 
 class TestRollout:
-    def _record(self, mats):
-        return AttentionRecord([[np.array(m, dtype=float)] for m in mats])
+    @staticmethod
+    def _single_head(mats):
+        """(depth, 1, tokens, tokens) attention with one head per layer."""
+        return np.array(mats, dtype=float)[:, None]
 
     def test_weights_sum_to_one(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
-        _, record = forward(_image(tiny_model_cfg), params, tiny_model_cfg)
-        weights = attention_rollout(record)
+        _, attn = forward(_image(tiny_model_cfg), params, tiny_model_cfg)
+        weights = attention_rollout(attn)
         assert weights.shape == (tiny_model_cfg.num_patches,)
         assert abs(weights.sum() - 1.0) < 1e-12
         assert (weights >= 0.0).all()
@@ -454,14 +445,14 @@ class TestRollout:
     def test_uniform_attention_gives_uniform_heatmap(self):
         n = 5
         uniform = np.full((n, n), 1.0 / n)
-        weights = attention_rollout(self._record([uniform, uniform]))
+        weights = attention_rollout(self._single_head([uniform, uniform]))
         assert np.allclose(weights, 0.25, atol=1e-12)
 
     def test_identity_attention_falls_back_to_uniform(self):
         # pure self-attention leaves zero mass on the patch columns of the
         # class-token row; the guard spreads it evenly instead of dividing
         # by zero
-        weights = attention_rollout(self._record([np.eye(4)]))
+        weights = attention_rollout(self._single_head([np.eye(4)]))
         assert np.allclose(weights, 1.0 / 3.0)
 
     def test_single_layer_rollout_matches_closed_form(self):
@@ -471,7 +462,7 @@ class TestRollout:
         mixed = 0.5 * attn + 0.5 * np.eye(4)
         mixed = mixed / mixed.sum(axis=1, keepdims=True)
         want = mixed[0, 1:] / mixed[0, 1:].sum()
-        got = attention_rollout(self._record([attn]))
+        got = attention_rollout(self._single_head([attn]))
         assert np.allclose(got, want, atol=1e-12)
 
     def test_head_averaging(self):
@@ -479,13 +470,31 @@ class TestRollout:
         # single-head case
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        record = AttentionRecord([[a, b]])
-        weights = attention_rollout(record)
+        weights = attention_rollout(np.array([[a, b]]))
         assert np.allclose(weights, [1.0])
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            attention_rollout(AttentionRecord([]))
+            attention_rollout(np.zeros((0, 1, 4, 4)))
+        with pytest.raises(ValueError):
+            attention_rollout(np.eye(4))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stack_equals_single_image_calls(self, dtype):
+        # random row-stochastic (batch, depth, heads, tokens, tokens)
+        # stacks; image 2 is pure self-attention and takes the uniform
+        # fallback
+        raw = np.random.default_rng(4).random((5, 3, 4, 17, 17))
+        raw[2] = np.eye(17)
+        attn = (raw / raw.sum(axis=-1, keepdims=True)).astype(dtype)
+        stacked = attention_rollout(attn)
+        assert stacked.shape == (5, 16)
+        for image_attn, row in zip(attn, stacked):
+            assert np.array_equal(row, attention_rollout(image_attn))
+        assert np.array_equal(stacked[2], np.full(16, 1.0 / 16))
+        # leading axes beyond one batch axis roll out the same way
+        assert np.array_equal(attention_rollout(attn.reshape(5, 1, 3, 4, 17, 17))[:, 0],
+                              stacked)
 
 
 class TestHeatmap:

@@ -92,6 +92,19 @@ class TestTensorBasics:
         assert np.array_equal((a * 0.5).data, [1.0, 2.0])
         assert np.array_equal((3.0 * a).data, [6.0, 12.0])
         assert np.array_equal((1.0 - a).data, [-1.0, -3.0])
+        assert np.array_equal((2.0 + a).data, [4.0, 6.0])
+
+    def test_add_of_two_raw_arrays(self):
+        out = add(np.array([1.0, 2.0]), np.array([3, 4]))
+        assert isinstance(out, Tensor)
+        assert np.array_equal(out.data, [4.0, 6.0])
+        assert out.data.dtype == DTYPE
+        assert out.requires_grad is False
+
+    def test_repr_shows_shape_and_grad_flag(self):
+        assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+        assert repr(Tensor([1.0], requires_grad=True)) == \
+            "Tensor(shape=(1,), requires_grad=True)"
 
     def test_requires_grad_propagates(self):
         a = Tensor([1.0], requires_grad=True)
@@ -338,6 +351,10 @@ class TestCompositions:
     def test_sub_shape_error_names_sub(self):
         with pytest.raises(ShapeMismatch, match=r"^sub: shapes \(2, 3\) and \(4,\)"):
             sub(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+
+    def test_mul_shape_error_names_mul(self):
+        with pytest.raises(ShapeMismatch, match=r"^mul: shapes \(2, 3\) and \(4,\)"):
+            mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
 
 
 class TestStructuralOps:
