@@ -57,9 +57,7 @@ _OTHER_FAMILY = {"A": "B", "B": "A"}
 
 
 def _fmt(value) -> str:
-    """CSV cell: repr for floats (round-trips exactly), blank for None."""
-    if value is None:
-        return ""
+    """CSV cell: repr for floats (round-trips exactly)."""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -128,10 +126,9 @@ def cmd_train(cfg: RunConfig) -> int:
                [vars(stats) for stats in history])
 
     for stats in history:
-        val = ("" if stats.val_acc is None else
-               f"  val_acc {stats.val_acc:.4f} val_auc {stats.val_auc:.4f}")
         print(f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
-              f"train_acc {stats.train_acc:.4f}{val}")
+              f"train_acc {stats.train_acc:.4f}  val_acc {stats.val_acc:.4f} "
+              f"val_auc {stats.val_auc:.4f}")
 
     # Report final metrics from the weights file, loaded as `bolf eval`
     # loads it: the float32 weights exactly, computing in float64. A later

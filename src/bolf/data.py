@@ -399,7 +399,6 @@ def perturb(pixels: np.ndarray, spec: PerturbationSpec, seed: int) -> np.ndarray
 
 @dataclass
 class DatasetSplits:
-    spec: DatasetSpec
     train: list[ImageSample] = field(default_factory=list)
     val: list[ImageSample] = field(default_factory=list)
     test: list[ImageSample] = field(default_factory=list)
@@ -439,7 +438,6 @@ def build_dataset(spec: DatasetSpec) -> DatasetSplits:
     video id crosses splits.
     """
     return DatasetSplits(
-        spec=spec,
         train=build_split(spec, "train"),
         val=build_split(spec, "val"),
         test=build_split(spec, "test"))
@@ -526,8 +524,8 @@ def read_ppm(path) -> np.ndarray:
 MANIFEST_COLUMNS = ("path", "label", "video_id", "frame_idx", "family", "split")
 
 
-def sample_filename(sample: ImageSample, channels: int) -> str:
-    ext = "ppm" if channels == 3 else "pgm"
+def sample_filename(sample: ImageSample) -> str:
+    ext = "ppm" if sample.pixels.shape[2] == 3 else "pgm"
     return f"{sample.video_id}-{sample.frame_idx:03d}.{ext}"
 
 
@@ -543,7 +541,7 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
         split_dir = out_dir / "images" / split
         os.makedirs(split_dir, exist_ok=True)
         for sample in splits.split(split):
-            rel = f"images/{split}/{sample_filename(sample, splits.spec.channels)}"
+            rel = f"images/{split}/{sample_filename(sample)}"
             write_ppm(out_dir / rel, sample.pixels)
             rows.append((rel, sample.label, sample.video_id, sample.frame_idx,
                          sample.family, split))
@@ -557,11 +555,12 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
 def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     """Load samples listed in a manifest; pixels come from the image files.
 
-    Every row is validated and counts toward the spec, but images are read
-    only for the requested ``splits``, each of which must list at least one
-    row; the other splits come back empty. All rows must name the same,
-    known family, and all rows of a video the same label. Tamper masks are
-    not persisted, so loaded fakes carry mask None.
+    Every row is validated, but images are read only for the requested
+    ``splits``, each of which must list at least one row; the other splits
+    come back empty. All rows must name the same, known family, all rows of
+    a video the same label and the same split, and no frame of a video may
+    be listed twice. Tamper masks are not persisted, so loaded fakes carry
+    mask None.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -571,10 +570,10 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     for name in splits:
         if name not in loaded:
             raise ValueError(f"unknown split {name!r}")
-    counts = dict.fromkeys(loaded, 0)
-    first_rel = None
     families = set()
     video_labels: dict[str, str] = {}
+    video_splits: dict[str, str] = {}
+    frames_seen: set[tuple[str, int]] = set()
     try:
         text = manifest_path.read_bytes().decode("utf-8")
         rows = list(csv.reader(io.StringIO(text, newline="")))
@@ -586,6 +585,8 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     header = rows[0] if rows else None
     if header != list(MANIFEST_COLUMNS):
         raise FormatError(f"bad manifest header {header!r}")
+    if len(rows) == 1:
+        raise FormatError(f"manifest {manifest_path} lists no samples")
     for row in rows[1:]:
         if len(row) != len(MANIFEST_COLUMNS):
             raise FormatError(f"bad manifest row {row!r}")
@@ -605,23 +606,18 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
         families.add(family)
         if len(families) > 1:
             raise FormatError(f"manifest mixes families {sorted(families)}")
-        counts[split] += 1
-        if first_rel is None:
-            first_rel = rel
+        first_split = video_splits.setdefault(video_id, split)
+        if first_split != split:
+            raise FormatError(f"video {video_id!r} is listed under splits "
+                              f"{first_split!r} and {split!r} in manifest")
+        if (video_id, frame) in frames_seen:
+            raise FormatError(f"frame {frame} of video {video_id!r} is listed twice in manifest")
+        frames_seen.add((video_id, frame))
         if split in splits:
             loaded[split].append(ImageSample(
                 pixels=read_ppm(base / rel), label=int(label), video_id=video_id,
                 frame_idx=frame, tamper_mask=None, family=family))
-    if first_rel is None:
-        raise FormatError(f"manifest {manifest_path} lists no samples")
     for name in splits:
-        if not counts[name]:
+        if not loaded[name]:
             raise FormatError(f"manifest {manifest_path} lists no {name!r} samples")
-    first = next((s.pixels for lst in loaded.values() for s in lst), None)
-    h, w, c = (first if first is not None else read_ppm(base / first_rel)).shape
-    spec = DatasetSpec(family=family,
-                       train_count=max(2, counts["train"] + counts["train"] % 2),
-                       val_count=max(2, counts["val"] + counts["val"] % 2),
-                       test_count=max(2, counts["test"] + counts["test"] % 2),
-                       height=h, width=w, channels=c)
-    return DatasetSplits(spec=spec, **loaded)
+    return DatasetSplits(**loaded)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 import numpy as np
 
@@ -97,7 +96,7 @@ def patchify(image, config: ModelConfig) -> np.ndarray:
     channels). Float32 and float64 pixels keep their dtype; other input
     becomes float64.
     """
-    pixels = image.data if isinstance(image, Tensor) else np.asarray(image)
+    pixels = np.asarray(image)
     expect = (config.height, config.width, config.channels)
     if pixels.ndim not in (3, 4) or pixels.shape[-3:] != expect:
         raise ShapeMismatch(f"patchify: image shape {pixels.shape} != configured {expect}")
@@ -160,13 +159,6 @@ class ModelParams:
             else:
                 out.append((f.name, getattr(self, f.name)))
         return out
-
-    def tensors(self) -> Iterator[Tensor]:
-        for _, t in self.named():
-            yield t
-
-    def num_parameters(self) -> int:
-        return sum(t.size for t in self.tensors())
 
     def with_tensor(self, name: str, tensor: Tensor) -> "ModelParams":
         """Copy of the params with one named tensor swapped out."""

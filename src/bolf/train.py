@@ -34,7 +34,6 @@ class TrainConfig:
     momentum: float = 0.9
     lr_min: float = 0.0
     seed: int = 0
-    eval_every: int = 1
 
     def __post_init__(self):
         if not self.lr0 > self.lr_min >= 0.0:
@@ -45,21 +44,19 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class EpochStats:
-    """One history row; val columns are None on non-eval epochs."""
+    """One history row."""
 
     epoch: int
     mean_loss: float
     train_acc: float
-    val_acc: float | None
-    val_auc: float | None
+    val_acc: float
+    val_auc: float
     lr: float
 
 
@@ -193,7 +190,7 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     hands each block its slice. The schedule is stepped once per optimizer
     step with T = epochs * ceil(len(train) / batch_size). A non-finite loss
     or gradient stops training before the update, naming where it
-    happened.
+    happened. Every epoch ends with an eval-mode pass over ``val``.
     """
     train_set = splits.train
     val_set = splits.val
@@ -202,8 +199,6 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     named = params.named()
     for _, t in named:
         t.data = t.data.astype(TRAIN_DTYPE, copy=False)
-    if train_cfg.epochs == 0:
-        return params, []
 
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)
@@ -241,9 +236,7 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
                                         f"step {opt.t}")
             opt.step(last_lr)
 
-        val_acc = val_auc = None
-        if (epoch + 1) % train_cfg.eval_every == 0 or epoch == train_cfg.epochs - 1:
-            val_acc, val_auc = evaluate(params, val_set, model_cfg)
+        val_acc, val_auc = evaluate(params, val_set, model_cfg)
         history.append(EpochStats(
             epoch=epoch,
             mean_loss=loss_sum / len(train_set),

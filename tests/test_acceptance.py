@@ -78,7 +78,7 @@ def trained(family_a):
     for seed in SEEDS:
         start = time.perf_counter()
         params, history = train(init_params(GATE_MODEL, seed=seed), family_a,
-                                TrainConfig(seed=seed, eval_every=20), GATE_MODEL)
+                                TrainConfig(seed=seed), GATE_MODEL)
         scored = score_samples(params, family_a.test, GATE_MODEL)
         elapsed = time.perf_counter() - start
         acc = accuracy(scored)

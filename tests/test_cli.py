@@ -5,8 +5,12 @@ rollout, determinism, and exit-code tests all work against it.
 """
 
 import csv
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,10 @@ class TestTrain:
         header = rows[0]
         loss = float(rows[1][header.index("mean_loss")])
         assert np.isfinite(loss)
+        # validation runs every epoch, so no val cell is blank
+        for row in rows[1:]:
+            assert 0.0 <= float(row[header.index("val_acc")]) <= 1.0
+            assert 0.0 <= float(row[header.index("val_auc")]) <= 1.0
 
     def test_printed_metrics_match_later_eval(self, ws, capsys, tmp_path):
         """The val metrics printed at save time must reproduce exactly when
@@ -114,24 +122,6 @@ class TestTrain:
         header, row = rows[0], rows[1]
         assert float(row[header.index("acc")]) == train_acc
         assert float(row[header.index("auc_frame")]) == train_auc
-
-    def test_skipped_eval_epochs_leave_val_blank(self, ws, tmp_path, capsys):
-        # with eval_every=2 epoch 0 skips the val pass; epoch 1 is due and
-        # epoch 2 is the last, so both evaluate
-        shutil.copytree(ws["out"] / "images", tmp_path / "images")
-        shutil.copy(ws["out"] / "manifest.csv", tmp_path / "manifest.csv")
-        capsys.readouterr()
-        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path),
-                     "--set", "train.eval_every=2", "--set", "train.epochs=3"]) == EXIT_OK
-        rows = _read_csv(tmp_path / "history.csv")
-        header = rows[0]
-        val = [(r[header.index("val_acc")], r[header.index("val_auc")]) for r in rows[1:]]
-        assert val[0] == ("", "")
-        assert all(acc and auc for acc, auc in val[1:])
-        epochs = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch")]
-        assert len(epochs) == 3
-        assert "val_" not in epochs[0]
-        assert all("val_acc" in l and "val_auc" in l for l in epochs[1:])
 
     def test_seed_flag_changes_weights(self, ws):
         out = ws["root"] / "seeded"
@@ -310,6 +300,27 @@ class TestExitCodes:
         assert main(["gen-data", "--set", "model.num_classes=2"]) == EXIT_CONFIG
         assert "unknown config keys ['model.num_classes']" in capsys.readouterr().err
 
+    def test_eval_every_is_not_a_key(self, capsys):
+        # validation runs every epoch; there is no key to thin it out
+        assert main(["gen-data", "--set", "train.eval_every=1"]) == EXIT_CONFIG
+        assert "unknown config keys ['train.eval_every']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows + [rows[-1]], "listed twice"),
+        (lambda rows: rows[:-1] + [rows[-1][:-1] + ["val"]], "listed under splits"),
+    ], ids=["repeated_frame", "video_in_two_splits"])
+    def test_train_on_manifest_with_repeats(self, ws, tmp_path, capsys, edit, message):
+        shutil.copytree(ws["out"] / "images", tmp_path / "images")
+        rows = _read_csv(ws["out"] / "manifest.csv")
+        assert rows[-1][-1] == "test"
+        with open(tmp_path / "manifest.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+        weights = tmp_path / "w.bolf"
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path),
+                     "--set", f"run.weights_out={weights}"]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not weights.exists()
+
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_train_on_empty_split(self, ws, tmp_path, capsys, split):
         shutil.copytree(ws["out"] / "images", tmp_path / "images")
@@ -398,6 +409,28 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
         assert err.value.code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m bolf.cli`` exits with main()'s return code."""
+
+    @staticmethod
+    def _run(args, cwd):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "bolf.cli", *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_config_error_exit_code(self, tmp_path):
+        done = self._run(["gen-data", "--set", "model.num_classes=2"], tmp_path)
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.startswith("config error:")
+
+    def test_gen_data_succeeds(self, ws, tmp_path):
+        done = self._run(["gen-data", "--config", ws["cfg"], "--out", "corpus"], tmp_path)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (tmp_path / "corpus" / "manifest.csv").read_bytes() == \
+               (ws["out"] / "manifest.csv").read_bytes()
 
 
 def _tree(root):

@@ -135,7 +135,6 @@ class TestSerialize:
             ("model.heads", int), ("model.mlp_ratio", int), ("model.dropout", float),
             ("train.epochs", int), ("train.batch_size", int), ("train.lr0", float),
             ("train.momentum", float), ("train.lr_min", float), ("train.seed", int),
-            ("train.eval_every", int),
             ("run.out_dir", str), ("run.weights_in", str), ("run.weights_out", str),
             ("run.protocol", str), ("run.threshold", float), ("run.level", int),
             ("run.split", str)]

@@ -378,11 +378,11 @@ class TestDatasetAssembly:
         with pytest.raises(ValueError):
             DatasetSpec(channels=2)
 
-    def test_split_accessor_rejects_unknown(self, tiny_splits):
+    def test_split_accessor_rejects_unknown(self, tiny_splits, tiny_spec):
         with pytest.raises(ValueError):
             tiny_splits.split("holdout")
         with pytest.raises(ValueError):
-            build_split(tiny_splits.spec, "holdout")
+            build_split(tiny_spec, "holdout")
 
     def test_one_split_alone_matches_the_full_build(self, tiny_splits, tiny_spec):
         # cross-family eval generates only the test split it scores
@@ -497,10 +497,10 @@ class TestManifest:
                        (s.label, s.video_id, s.frame_idx, s.family)
                 assert b.tamper_mask is None  # masks are not persisted
                 assert np.abs(b.pixels - s.pixels).max() <= 0.5 / 255.0 + 1e-12
-        assert loaded.spec.height == tiny_spec.height
+        assert loaded.train[0].pixels.shape == \
+               (tiny_spec.height, tiny_spec.width, tiny_spec.channels)
 
-    def test_reads_images_of_requested_splits_only(self, tiny_splits, tiny_spec,
-                                                   tmp_path, monkeypatch):
+    def test_reads_images_of_requested_splits_only(self, tiny_splits, tmp_path, monkeypatch):
         import bolf.data
         manifest = write_dataset(tiny_splits, tmp_path / "corpus")
         full = load_manifest(manifest)
@@ -518,15 +518,20 @@ class TestManifest:
         assert [(s.video_id, s.frame_idx) for s in part.val] == \
                [(s.video_id, s.frame_idx) for s in full.val]
         assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(part.val, full.val))
-        # the spec still counts every row of the manifest
-        assert part.spec == full.spec
-        assert (part.spec.train_count, part.spec.test_count) == \
-               (tiny_spec.train_count, tiny_spec.test_count)
 
-    def test_no_splits_still_reads_the_geometry(self, tiny_splits, tmp_path):
+    def test_no_splits_validates_rows_and_reads_no_image(self, tiny_splits, tmp_path,
+                                                          monkeypatch):
+        import bolf.data
         manifest = write_dataset(tiny_splits, tmp_path / "corpus")
-        spec = load_manifest(manifest, ()).spec
-        assert (spec.height, spec.width, spec.channels) == (16, 16, 1)
+        reads = []
+        monkeypatch.setattr(bolf.data, "read_ppm", reads.append)
+        empty = load_manifest(manifest, ())
+        assert (empty.train, empty.val, empty.test) == ([], [], [])
+        with manifest.open("a") as fh:
+            fh.write("images/train/x.pgm,2,v,0,A,train\n")
+        with pytest.raises(FormatError, match="bad label"):
+            load_manifest(manifest, ())
+        assert reads == []
         with pytest.raises(ValueError):
             load_manifest(manifest, ("holdout",))
 
@@ -534,7 +539,7 @@ class TestManifest:
         first = write_dataset(tiny_splits, tmp_path / "c")
         blob = first.read_bytes()
         sample = tiny_splits.train[0]
-        img = first.parent / "images" / "train" / sample_filename(sample, 1)
+        img = first.parent / "images" / "train" / sample_filename(sample)
         img_blob = img.read_bytes()
         second = write_dataset(tiny_splits, tmp_path / "c")
         assert second.read_bytes() == blob
@@ -568,28 +573,28 @@ class TestManifest:
 
     def test_bad_label_rejected(self, tmp_path, tiny_splits):
         write_dataset(tiny_splits, tmp_path)
-        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        rel = f"images/train/{sample_filename(tiny_splits.train[0])}"
         path = self._write_row(tmp_path, f"{rel},2,v,0,A,train")
         with pytest.raises(FormatError):
             load_manifest(path)
 
     def test_bad_split_rejected(self, tmp_path, tiny_splits):
         write_dataset(tiny_splits, tmp_path)
-        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        rel = f"images/train/{sample_filename(tiny_splits.train[0])}"
         path = self._write_row(tmp_path, f"{rel},0,v,0,A,holdout")
         with pytest.raises(FormatError):
             load_manifest(path)
 
     def test_bad_frame_index_rejected(self, tmp_path, tiny_splits):
         write_dataset(tiny_splits, tmp_path)
-        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        rel = f"images/train/{sample_filename(tiny_splits.train[0])}"
         path = self._write_row(tmp_path, f"{rel},0,v,x1,A,train")
         with pytest.raises(FormatError, match="frame index"):
             load_manifest(path)
 
     def test_rows_of_unread_splits_are_still_validated(self, tmp_path, tiny_splits):
         write_dataset(tiny_splits, tmp_path)
-        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        rel = f"images/train/{sample_filename(tiny_splits.train[0])}"
         path = self._write_row(tmp_path, f"{rel},2,v,0,A,train")
         with pytest.raises(FormatError):
             load_manifest(path, ("test",))
@@ -616,9 +621,28 @@ class TestManifest:
         with pytest.raises(FormatError, match="both labels"):
             load_manifest(manifest)
 
+    def test_repeated_frame_rejected(self, tmp_path, tiny_splits):
+        # the frame would be counted twice in every metric
+        manifest = write_dataset(tiny_splits, tmp_path)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        with pytest.raises(FormatError, match="listed twice"):
+            load_manifest(manifest)
+
+    def test_video_under_two_splits_rejected(self, tmp_path, tiny_splits):
+        # the video's frames would leak from one split into another
+        manifest = write_dataset(tiny_splits, tmp_path)
+        lines = manifest.read_text().splitlines()
+        last = lines[-1].split(",")
+        assert last[5] == "test"
+        last[5] = "val"
+        manifest.write_text("\n".join(lines[:-1] + [",".join(last)]) + "\n")
+        with pytest.raises(FormatError, match="listed under splits 'test' and 'val'"):
+            load_manifest(manifest)
+
     def test_unknown_family_rejected(self, tmp_path, tiny_splits):
         write_dataset(tiny_splits, tmp_path)
-        rel = f"images/train/{sample_filename(tiny_splits.train[0], 1)}"
+        rel = f"images/train/{sample_filename(tiny_splits.train[0])}"
         path = self._write_row(tmp_path, f"{rel},0,v,0,C,train")
         with pytest.raises(FormatError, match="unknown family"):
             load_manifest(path)

@@ -62,9 +62,6 @@ class TestTensorBasics:
     def test_grad_starts_empty(self):
         t = Tensor([1.0], requires_grad=True)
         assert t.grad is None
-        t.grad = np.array([2.0])
-        t.zero_grad()
-        assert t.grad is None
 
     def test_item_scalar(self):
         assert Tensor(3.5).item() == 3.5
@@ -159,7 +156,7 @@ class TestTapeMechanics:
             outer_loss = sum_all(outer_y)
         backward(inner_loss, inner)
         assert np.allclose(a.grad, [4.0])  # inner product only
-        a.zero_grad()
+        a.grad = None
         backward(outer_loss, outer)
         assert np.allclose(a.grad, [4.0])  # outer product only
 

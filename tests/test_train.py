@@ -157,7 +157,6 @@ class TestTrainConfigValidation:
         {"momentum": -0.1},
         {"batch_size": 0},
         {"epochs": -1},
-        {"eval_every": 0},
         {"seed": -1},
     ])
     def test_invalid_settings_rejected(self, kwargs):
@@ -242,7 +241,7 @@ class TestTrainLoop:
 
     def test_empty_split_rejected(self, tiny_splits, tiny_model_cfg, quick_cfg):
         from bolf.data import DatasetSplits
-        empty = DatasetSplits(spec=tiny_splits.spec, train=[], val=tiny_splits.val)
+        empty = DatasetSplits(train=[], val=tiny_splits.val)
         params = init_params(tiny_model_cfg, seed=0)
         with pytest.raises(ValueError):
             train(params, empty, quick_cfg, tiny_model_cfg)
@@ -258,15 +257,6 @@ class TestTrainLoop:
             assert 0.0 <= h.train_acc <= 1.0
             assert 0.0 < h.lr <= quick_cfg.lr0
         assert history[1].lr < history[0].lr
-
-    def test_eval_every_skips_intermediate_epochs(self, tiny_splits, tiny_model_cfg):
-        cfg = TrainConfig(epochs=3, batch_size=4, eval_every=3, seed=0)
-        params = init_params(tiny_model_cfg, seed=0)
-        _, history = train(params, tiny_splits, cfg, tiny_model_cfg)
-        assert history[0].val_acc is None and history[0].val_auc is None
-        assert history[1].val_acc is None
-        # final epoch always evaluates
-        assert history[2].val_acc is not None and history[2].val_auc is not None
 
     def test_training_is_deterministic(self, tiny_splits, tiny_model_cfg, quick_cfg):
         runs = []
@@ -322,7 +312,7 @@ class TestTrainingDtype:
 
     @staticmethod
     def _dtypes(params):
-        return {t.data.dtype for t in params.tensors()}
+        return {t.data.dtype for _, t in params.named()}
 
     def test_init_and_from_arrays_are_float64(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
@@ -334,10 +324,10 @@ class TestTrainingDtype:
     def test_train_casts_the_callers_tensors_in_place(self, tiny_splits, tiny_model_cfg):
         assert TRAIN_DTYPE == np.float32
         params = init_params(tiny_model_cfg, seed=0)
-        tensors = list(params.tensors())
+        tensors = [t for _, t in params.named()]
         expected = [t.data.astype(np.float32) for t in tensors]
         out, _ = train(params, tiny_splits, TrainConfig(epochs=0), tiny_model_cfg)
-        assert all(a is b for a, b in zip(out.tensors(), tensors))
+        assert all(a is b for (_, a), b in zip(out.named(), tensors))
         for t, want in zip(tensors, expected):
             assert t.data.dtype == np.float32
             assert np.array_equal(t.data, want)

@@ -1,0 +1,129 @@
+"""Paired benchmark runs of two revisions, side by side.
+
+    python3 tools/bench_pairs.py --parent REV --change REV --work DIR \
+        [--workload W ...] [--pairs 10] [--seed 100] [--seconds S]
+
+Exports both revisions with ``git archive`` into the sibling directories
+DIR/parent and DIR/change, whose names have equal length, since the
+figures move with the length of the checkout's path. Pair i runs
+``perfbench/run.py --workload W --seed SEED+i --seconds S --trace 0`` once
+in each tree, the parent first in even pairs and the change first in odd
+ones. Metric names, directions and bounds come from the parent's
+BENCHMARK.json, and so does the default run length. Every run's figures
+are printed as it ends; then, per workload and metric, the parent's median
+and Q1-Q3, the change's median, the relative change against the bound, and
+in how many pairs the change was better (ties count for neither).
+
+Exits 1 if any run is not correct or has a failed operation. Writes only
+under DIR, which must lie outside the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def export(rev: str, into: Path) -> None:
+    """The tree of ``rev``, as committed, in a fresh directory ``into``."""
+    if into.exists():
+        shutil.rmtree(into)
+    into.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """perfbench/run.py's result object: its last line of output."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        sys.stderr.write(done.stderr)
+        return {"correct": False, "failed": None, "metrics": {}}
+    return json.loads(lines[-1])
+
+
+def summary(metric: dict, parent: list[float], change: list[float]) -> str:
+    """One line: parent median and Q1-Q3, change median, relative change,
+    and the pairs in which the change was better."""
+    lower = metric["better"] == "lower"
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                 if len(parent) > 1 else parent * 3)
+    wins = sum(c < p if lower else c > p for p, c in zip(parent, change))
+    worse = (c_med - p_med if lower else p_med - c_med) / p_med
+    verdict = "WORSE than bound" if worse > metric["bound"] else "within bound"
+    return (f"  {metric['name']:13s} parent {p_med:10.4g} (Q1-Q3 {q1:.4g}-{q3:.4g})  "
+            f"change {c_med:10.4g}  {100 * (c_med / p_med - 1):+6.1f}%  "
+            f"better in {wins}/{len(parent)}  bound {metric['bound']:.2f}: {verdict}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision to compare against")
+    parser.add_argument("--change", required=True, help="revision under test")
+    parser.add_argument("--work", required=True, type=Path,
+                        help="directory for the two trees, outside the repository")
+    parser.add_argument("--workload", action="append", default=[],
+                        help="workload to run (repeatable; default: every one)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
+    args = parser.parse_args(argv)
+
+    top = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
+                              capture_output=True, text=True).stdout.strip()).resolve()
+    work = args.work.resolve()
+    if work == top or top in work.parents:
+        parser.error(f"--work {work} lies inside the repository {top}")
+    trees = {side: work / side for side in SIDES}
+    for side, rev in zip(SIDES, (args.parent, args.change)):
+        export(rev, trees[side])
+    bench = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+
+    faults = 0
+    figures = {w: {side: [] for side in SIDES} for w in workloads}
+    for workload in workloads:
+        for i in range(args.pairs):
+            seed = args.seed + i
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                result = run_once(trees[side], workload, seed, seconds)
+                values = {k: v["value"] for k, v in result["metrics"].items()}
+                ok = result["correct"] and result["failed"] == 0
+                faults += not ok
+                figures[workload][side].append(values)
+                print(f"{workload} seed {seed} {side}: "
+                      + ("ok " if ok else "FAULT ")
+                      + " ".join(f"{k} {v:.4g}" for k, v in values.items()), flush=True)
+
+    print(f"\n{args.pairs} pairs per workload, {seconds:g} s each; "
+          f"parent {args.parent}, change {args.change}")
+    for workload in workloads:
+        print(workload)
+        for metric in bench["end_to_end"]:
+            name = metric["name"]
+            runs = figures[workload]
+            pairs = [(p[name], c[name]) for p, c in zip(runs["parent"], runs["change"])
+                     if name in p and name in c]
+            if pairs:
+                print(summary(metric, [p for p, _ in pairs], [c for _, c in pairs]))
+    if faults:
+        print(f"{faults} run(s) not correct or with failed operations", file=sys.stderr)
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
