@@ -483,6 +483,34 @@ class TestPerVideoReuse:
         assert np.array_equal(next_fake.tamper_mask, want_fake.tamper_mask)
 
 
+class TestPerturbationPin:
+    """The float output of the whole perturbation suite, pinned: a change
+    to how a distortion is computed must not move a single bit."""
+
+    # every kind at every level, then the composed suites, on a frame whose
+    # sides are multiples of 4 and 8 and one whose sides are not, so that
+    # edge tiles are partial for every quantization block in 4, 6, 8, 10
+    SPECS = ([PerturbationSpec(kind, level) for kind in PERTURBATION_KINDS
+              for level in (0, 1, 2, 3, 4, 5, "random")]
+             + [PerturbationSpec("mix", level, mix_count=count) for count in (2, 3, 4)
+                for level in (1, 3, 5, "random")])
+    SEEDS = (0, 7, 1234)
+    # sha256 of every output's bytes, frames outermost, then specs, then seeds
+    PINNED = "c0380b48cc19be20a6ed94b29faaa6d275f695eeb548b5c3354cc8f85bdb6741"
+
+    def test_perturbation_suite_is_pinned(self):
+        frames = (gen_original(SPEC32, "A-p-000", 0).pixels,
+                  gen_original(DatasetSpec(height=30, width=28, channels=3), "A-p-001", 0).pixels)
+        digest = hashlib.sha256()
+        for frame in frames:
+            for spec in self.SPECS:
+                for seed in self.SEEDS:
+                    out = perturb(frame, spec, seed)
+                    assert out.shape == frame.shape and out.dtype == np.float64
+                    digest.update(out.tobytes())
+        assert digest.hexdigest() == self.PINNED
+
+
 class TestManifest:
     def test_roundtrip(self, tiny_splits, tiny_spec, tmp_path):
         manifest = write_dataset(tiny_splits, tmp_path / "corpus")
