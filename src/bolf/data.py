@@ -350,13 +350,35 @@ def gen_manipulated(original: ImageSample, spec: DatasetSpec) -> ImageSample:
 # perturbations
 # ---------------------------------------------------------------------------
 
+def _bands(n: int, block: int) -> list[tuple[slice, int]]:
+    """An axis of length n as at most two bands, the full tiles and then
+    the short remainder: each band's slice and its tile length."""
+    full = n - n % block
+    bands = [(slice(0, full), block)] if full else []
+    if n % block:
+        bands.append((slice(full, n), n % block))
+    return bands
+
+
 def _block_mean(pixels: np.ndarray, block: int) -> np.ndarray:
+    """Each block x block tile of an (H, W, C) image replaced by its
+    per-channel mean; tiles start at the top left, so the last row and
+    column of tiles may be short.
+
+    Within each of the at most four bands all tiles have one shape; they
+    are copied out contiguous and summed along one axis, which adds each
+    tile's pixels in the order ``tile.mean(axis=(0, 1))`` does, so the
+    result equals the per-tile mean bit for bit.
+    """
+    h, w, c = pixels.shape
     out = np.empty_like(pixels)
-    h, w = pixels.shape[:2]
-    for i in range(0, h, block):
-        for j in range(0, w, block):
-            tile = pixels[i:i + block, j:j + block]
-            out[i:i + block, j:j + block] = tile.mean(axis=(0, 1), keepdims=True)
+    for rows, nr in _bands(h, block):
+        for cols, nc in _bands(w, block):
+            band = pixels[rows, cols]
+            r, q = band.shape[0] // nr, band.shape[1] // nc
+            tiles = band.reshape(r, nr, q, nc, c).transpose(0, 2, 1, 3, 4).reshape(r, q, nr * nc, c)
+            means = tiles.sum(axis=2) / (nr * nc)
+            out[rows, cols] = means.repeat(nr, axis=0).repeat(nc, axis=1)
     return out
 
 

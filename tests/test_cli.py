@@ -5,7 +5,10 @@ rollout, determinism, and exit-code tests all work against it.
 """
 
 import csv
+import ctypes
 import os
+import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -18,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import bolf.cli as cli
 from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from bolf.data import FormatError, load_manifest, read_ppm
-from bolf.model import ModelConfig
+from bolf.data import DatasetSpec, FormatError, gen_original, load_manifest, read_ppm
+from bolf.model import ModelConfig, ModelParams, forward, init_params
 from bolf.tensor import Tensor, mul, sum_all
 from bolf.weights import load_weights, save_weights
 
@@ -431,6 +434,55 @@ class TestModuleEntryPoint:
         assert done.returncode == EXIT_OK, done.stderr
         assert (tmp_path / "corpus" / "manifest.csv").read_bytes() == \
                (ws["out"] / "manifest.csv").read_bytes()
+
+
+TINY_GEN_DATA = ["gen-data", "--set", "data.train_count=2", "--set", "data.val_count=2",
+                 "--set", "data.test_count=2"]
+
+
+def _raising(exc):
+    def cdll(name):
+        raise exc
+    return cdll
+
+
+class TestKeepFreedMemory:
+    """main() asks glibc once per process to keep freed memory at the top
+    of the heap, so forwards reuse pages instead of faulting them in."""
+
+    @pytest.fixture
+    def fresh(self):
+        cli._keep_freed_memory.cache_clear()
+        yield
+        cli._keep_freed_memory.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_forwards_fault_no_pages_back_in(self, tmp_path, capsys):
+        assert main(TINY_GEN_DATA + ["--out", str(tmp_path)]) == EXIT_OK
+        cfg = ModelConfig()
+        params = ModelParams.from_arrays(
+            cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()},
+            requires_grad=False)
+        images = np.stack([gen_original(DatasetSpec(), "v", i).pixels for i in range(16)])
+        for _ in range(3):
+            forward(images, params, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            forward(images, params, cfg)
+        # 9,600-12,900 when glibc trims the heap after every forward
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+    @pytest.mark.parametrize("cdll", [
+        pytest.param(lambda name: object(), id="no-mallopt"),
+        pytest.param(_raising(OSError("no libc")), id="oserror"),
+        pytest.param(_raising(TypeError("needs a library name")), id="typeerror"),
+    ])
+    def test_runs_without_mallopt(self, fresh, monkeypatch, tmp_path, capsys, cdll):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
+        assert main(TINY_GEN_DATA + ["--out", str(tmp_path)]) == EXIT_OK
+        assert main(TINY_GEN_DATA + ["--out", str(tmp_path)]) == EXIT_OK
+        assert calls == [None]
 
 
 def _tree(root):

@@ -300,6 +300,30 @@ class TestPerturb:
         assert np.array_equal(out[0::2, 0::2], out[1::2, 0::2])
         assert np.array_equal(out[0::2, 0::2], out[0::2, 1::2])
 
+    @staticmethod
+    def _block_mean_per_tile(pixels, block):
+        """One tile at a time: the oracle that _block_mean must match."""
+        out = np.empty_like(pixels)
+        h, w = pixels.shape[:2]
+        for i in range(0, h, block):
+            for j in range(0, w, block):
+                tile = pixels[i:i + block, j:j + block]
+                out[i:i + block, j:j + block] = tile.mean(axis=(0, 1), keepdims=True)
+        return out
+
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (30, 28, 3), (17, 33, 1), (5, 7, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_block_mean_matches_the_per_tile_loop(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        # every level's block (2-10), odd blocks, and one larger than the frame
+        for block in (*range(1, 13), 40):
+            for scale in (1.0, 1e3):
+                pixels = (rng.random(shape) * scale).astype(dtype)
+                got = data._block_mean(pixels, block)
+                want = self._block_mean_per_tile(pixels, block)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes(), block
+
     def test_higher_levels_distort_more(self, image):
         d1 = np.abs(perturb(image, PerturbationSpec("gaussian_noise", 1), 3) - image).mean()
         d5 = np.abs(perturb(image, PerturbationSpec("gaussian_noise", 5), 3) - image).mean()

@@ -12,7 +12,9 @@ ones. Metric names, directions and bounds come from the parent's
 BENCHMARK.json, and so does the default run length. Every run's figures
 are printed as it ends; then, per workload and metric, the parent's median
 and Q1-Q3, the change's median, the relative change against the bound, and
-in how many pairs the change was better (ties count for neither).
+in how many pairs the change was better (ties count for neither). Each
+run's minor page faults (the child's ``ru_minflt``) are printed with its
+figures, and each side's median with the summary.
 
 Exits 1 if any run is not correct or has a failed operation. Writes only
 under DIR, which must lie outside the repository.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -40,17 +43,20 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """perfbench/run.py's result object: its last line of output."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
+    """perfbench/run.py's result object (its last line of output) and the
+    minor page faults the run took."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         sys.stderr.write(done.stderr)
-        return {"correct": False, "failed": None, "metrics": {}}
-    return json.loads(lines[-1])
+        return {"correct": False, "failed": None, "metrics": {}}, minflt
+    return json.loads(lines[-1]), minflt
 
 
 def summary(metric: dict, parent: list[float], change: list[float]) -> str:
@@ -96,18 +102,21 @@ def main(argv=None) -> int:
 
     faults = 0
     figures = {w: {side: [] for side in SIDES} for w in workloads}
+    minflts = {w: {side: [] for side in SIDES} for w in workloads}
     for workload in workloads:
         for i in range(args.pairs):
             seed = args.seed + i
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result = run_once(trees[side], workload, seed, seconds)
+                result, minflt = run_once(trees[side], workload, seed, seconds)
                 values = {k: v["value"] for k, v in result["metrics"].items()}
                 ok = result["correct"] and result["failed"] == 0
                 faults += not ok
                 figures[workload][side].append(values)
+                minflts[workload][side].append(minflt)
                 print(f"{workload} seed {seed} {side}: "
                       + ("ok " if ok else "FAULT ")
-                      + " ".join(f"{k} {v:.4g}" for k, v in values.items()), flush=True)
+                      + " ".join(f"{k} {v:.4g}" for k, v in values.items())
+                      + f" minflt {minflt}", flush=True)
 
     print(f"\n{args.pairs} pairs per workload, {seconds:g} s each; "
           f"parent {args.parent}, change {args.change}")
@@ -120,6 +129,8 @@ def main(argv=None) -> int:
                      if name in p and name in c]
             if pairs:
                 print(summary(metric, [p for p, _ in pairs], [c for _, c in pairs]))
+        print("  minor faults  " + "  ".join(
+            f"{side} {statistics.median(minflts[workload][side]):.0f}" for side in SIDES))
     if faults:
         print(f"{faults} run(s) not correct or with failed operations", file=sys.stderr)
     return 1 if faults else 0
