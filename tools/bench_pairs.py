@@ -102,7 +102,6 @@ def main(argv=None) -> int:
 
     faults = 0
     figures = {w: {side: [] for side in SIDES} for w in workloads}
-    minflts = {w: {side: [] for side in SIDES} for w in workloads}
     for workload in workloads:
         for i in range(args.pairs):
             seed = args.seed + i
@@ -111,8 +110,7 @@ def main(argv=None) -> int:
                 values = {k: v["value"] for k, v in result["metrics"].items()}
                 ok = result["correct"] and result["failed"] == 0
                 faults += not ok
-                figures[workload][side].append(values)
-                minflts[workload][side].append(minflt)
+                figures[workload][side].append(values | {"minflt": minflt})
                 print(f"{workload} seed {seed} {side}: "
                       + ("ok " if ok else "FAULT ")
                       + " ".join(f"{k} {v:.4g}" for k, v in values.items())
@@ -122,15 +120,16 @@ def main(argv=None) -> int:
           f"parent {args.parent}, change {args.change}")
     for workload in workloads:
         print(workload)
+        runs = figures[workload]
         for metric in bench["end_to_end"]:
             name = metric["name"]
-            runs = figures[workload]
             pairs = [(p[name], c[name]) for p, c in zip(runs["parent"], runs["change"])
                      if name in p and name in c]
             if pairs:
                 print(summary(metric, [p for p, _ in pairs], [c for _, c in pairs]))
         print("  minor faults  " + "  ".join(
-            f"{side} {statistics.median(minflts[workload][side]):.0f}" for side in SIDES))
+            f"{side} {statistics.median(r['minflt'] for r in runs[side]):.0f}"
+            for side in SIDES))
     if faults:
         print(f"{faults} run(s) not correct or with failed operations", file=sys.stderr)
     return 1 if faults else 0
