@@ -5,14 +5,19 @@ are validated with the built-in central-difference checker, including a
 negative control proving the checker can actually fail.
 """
 
+import itertools
+import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from bolf.tensor import (
     DTYPE,
+    LN_EPS,
     GradCheckReport,
     NumericError,
     ShapeMismatch,
@@ -731,3 +736,148 @@ class TestProperties:
                 for t in range(k):
                     want[i, j] += a[i, t] * b[t, j]
         assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, want)
+
+
+# The formulas of layer_norm, softmax_rows and gelu, forward and adjoint, and
+# transpose's inverse permutation, as they were written before the kernels
+# ran in place; the kernels must give their bytes exactly.
+
+def _layer_norm_oracle(x, gamma, beta, g):
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * inv
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (gamma * xhat + beta, inv * (dxhat - m1 - xhat * m2),
+            (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+
+def _softmax_oracle(x, g):
+    if x.ndim < 2:
+        raise ShapeMismatch("softmax_rows needs 2 axes")
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def _gelu_oracle(x, g):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def _same_bytes(got, want):
+    want = np.asarray(want)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+ORACLE_SHAPES = [(), (64,), (7,), (17,), (5, 64), (5, 7), (6, 17), (2, 3, 17),
+                 (2, 5, 7), (2, 2, 3, 64), (2, 3, 4, 7), (3, 2, 2, 17)]
+
+
+class TestKernelOracles:
+    """Bit for bit against the oracles above, in float32 and float64, on
+    inputs with 0 to 4 axes and rows of 64, 7 and 17; widths that are not a
+    power of two catch a mean that divides in the wrong precision."""
+
+    @staticmethod
+    def _draw(shape, dtype, seed, scale=3.0):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=shape) * scale).astype(dtype)
+
+    @staticmethod
+    def _run(op, g, *args):
+        """op's output and the gradients the tape gives each argument when
+        the output's gradient is g."""
+        tensors = [Tensor(a, requires_grad=True) for a in args]
+        with Tape() as tape:
+            out = op(*tensors)
+            loss = sum_all(mul(out, g))
+        backward(loss, tape)
+        return out.data, [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_layer_norm(self, shape, dtype):
+        x, g = self._draw(shape, dtype, 1), self._draw(shape, dtype, 2)
+        if not shape:
+            with pytest.raises(IndexError):
+                _layer_norm_oracle(x, x, x, g)
+            with pytest.raises(IndexError):
+                layer_norm(Tensor(x), Tensor(x), Tensor(x))
+            return
+        gamma = self._draw(shape[-1:], dtype, 3, 1.0)
+        beta = self._draw(shape[-1:], dtype, 4, 1.0)
+        out, grads = self._run(layer_norm, g, x, gamma, beta)
+        want = _layer_norm_oracle(x, gamma, beta, g)
+        for got, expected in zip([out] + grads, want):
+            _same_bytes(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_softmax_rows(self, shape, dtype):
+        x, g = self._draw(shape, dtype, 5), self._draw(shape, dtype, 6)
+        if len(shape) < 2:
+            with pytest.raises(ShapeMismatch):
+                _softmax_oracle(x, g)
+            with pytest.raises(ShapeMismatch):
+                softmax_rows(Tensor(x))
+            return
+        out, (grad,) = self._run(softmax_rows, g, x)
+        want_out, want_grad = _softmax_oracle(x, g)
+        _same_bytes(out, want_out)
+        _same_bytes(grad, want_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_gelu(self, shape, dtype):
+        x, g = self._draw(shape, dtype, 7), self._draw(shape, dtype, 8)
+        out, (grad,) = self._run(gelu, g, x)
+        want_out, want_grad = _gelu_oracle(x, g)
+        _same_bytes(out, want_out)
+        _same_bytes(grad, want_grad)
+
+    @pytest.mark.parametrize("ndim", range(5))
+    def test_transpose_inverse(self, ndim):
+        shape = (2, 3, 4, 5)[:ndim]
+        x = self._draw(shape, np.float64, 9)
+        for axes in itertools.permutations(range(ndim)):
+            g = self._draw(tuple(shape[a] for a in axes), np.float64, 10)
+            _, (grad,) = self._run(lambda t: transpose(t, axes), g, x)
+            _same_bytes(grad, g.transpose(tuple(np.argsort(axes))))
+
+    def test_float32_layer_norm_overflow_row_raises(self):
+        x = self._draw((3, 7), np.float32, 11)
+        x[1, :2] = (3e19, -3e19)  # this row's squared deviations overflow
+        ones, zeros = np.ones(7, np.float32), np.zeros(7, np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="layer_norm"):
+                layer_norm(Tensor(x), Tensor(ones), Tensor(zeros))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_softmax_rows_non_finite_input_raises(self, dtype, bad):
+        x = self._draw((2, 3, 7), dtype, 12)
+        x[1, 2, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                softmax_rows(Tensor(x))
+
+    @pytest.mark.parametrize("width", [3, 7, 17, 63, 64, 100])
+    def test_float32_row_sum_over_width_is_ndarray_mean(self, width):
+        # ndarray.mean divides a float32 sum in float64 and rounds twice;
+        # layer_norm divides once in float32, which gives the same bits
+        rng = np.random.default_rng(width)
+        scale = 10.0 ** rng.integers(-30, 30, size=(4000, 1))
+        x = (rng.normal(size=(4000, width)) * scale).astype(np.float32)
+        sums = np.add.reduce(x, axis=-1, keepdims=True)
+        sums /= width
+        _same_bytes(sums, x.mean(axis=-1, keepdims=True))
