@@ -305,7 +305,7 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeMismatch(f"transpose: axes {axes} do not permute shape {a.shape}")
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     out = Tensor(a.data.transpose(axes), a.requires_grad)
 
     def adjoint(g):
@@ -442,17 +442,19 @@ def softmax_rows(x) -> Tensor:
     x = _wrap(x)
     if x.ndim < 2:
         raise ShapeMismatch(f"softmax_rows expects at least 2 axes, got shape {x.shape}")
-    if not np.all(np.isfinite(x.data)):
+    if not np.isfinite(x.data).all():
         raise NumericError("softmax_rows received non-finite input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = np.subtract(x.data, np.maximum.reduce(x.data, axis=-1, keepdims=True))
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     out = Tensor(y, x.requires_grad)
 
     def adjoint(g):
         # d/dx of softmax: y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - dot), fresh=True)
+        dx = g * y
+        np.subtract(g, np.add.reduce(dx, axis=-1, keepdims=True), out=dx)
+        dx *= y
+        _accum(x, dx, fresh=True)
 
     _record(out, adjoint)
     return out
@@ -470,27 +472,43 @@ def layer_norm(x, gamma, beta) -> Tensor:
         raise ShapeMismatch(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} must both be ({d},) "
             f"to match input {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # every mean is a sum divided by d. ndarray.mean divides a float32 sum
+    # by an intp, in float64, and rounds twice; for d below 2**29 that
+    # gives the bits of this one float32 division
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
     centered = x.data - mu
     with np.errstate(over="ignore"):  # overflow is reported as NumericError below
-        var = (centered * centered).mean(axis=-1, keepdims=True)
+        xhat = centered * centered  # the squares; xhat once var is known
+        var = np.add.reduce(xhat, axis=-1, keepdims=True)
+        var /= d
     if not np.isfinite(var).all():
         raise NumericError("layer_norm variance is not finite")
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
+    var += LN_EPS
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(centered, inv, out=xhat)
     out = Tensor(gamma.data * xhat + beta.data,
                  x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def adjoint(g):
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0), fresh=True)
+            _accum(gamma, np.add.reduce((g * xhat).reshape(-1, d), axis=0), fresh=True)
         if beta.requires_grad:
-            _accum(beta, g.reshape(-1, d).sum(axis=0), fresh=True)
+            _accum(beta, np.add.reduce(g.reshape(-1, d), axis=0), fresh=True)
         if x.requires_grad:
+            # inv * (dxhat - m1 - xhat * m2), m1 and m2 the row means of
+            # dxhat and dxhat * xhat
             dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2), fresh=True)
+            prod = dxhat * xhat
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            m1 /= d
+            m2 = np.add.reduce(prod, axis=-1, keepdims=True)
+            m2 /= d
+            dxhat -= m1
+            dxhat -= np.multiply(xhat, m2, out=prod)
+            dxhat *= inv
+            _accum(x, dxhat, fresh=True)
 
     _record(out, adjoint)
     return out
@@ -499,12 +517,24 @@ def layer_norm(x, gamma, beta) -> Tensor:
 def gelu(x) -> Tensor:
     """Gaussian-error linear unit, exact erf form 0.5*x*(1 + erf(x/sqrt(2)))."""
     x = _wrap(x)
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT_2))
+    # every step after the first runs in place; the first is given an out
+    # array, so that a 0-d input still gives an array, not a numpy scalar
+    cdf = np.divide(x.data, _SQRT_2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(x.data * cdf, x.requires_grad)
 
     def adjoint(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (cdf + x.data * pdf), fresh=True)
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        dx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        _accum(x, dx, fresh=True)
 
     _record(out, adjoint)
     return out
