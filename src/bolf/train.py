@@ -93,23 +93,56 @@ def cosine_lr(t: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> floa
 
 class MomentumSGD:
     """Classic momentum (no Nesterov): v <- m*v + g; p <- p - lr*v.
-    Grads are cleared after each step."""
 
-    def __init__(self, params: list[Tensor], momentum: float = 0.9):
+    The parameters are packed, in order, into one contiguous buffer of
+    ``dtype`` (by default their common dtype), and each parameter's data
+    becomes a view of its slice; the velocities are views of one buffer
+    too, so a step is a few calls on whole buffers. Grads are cleared after
+    each step.
+    """
+
+    def __init__(self, params: list[Tensor], momentum: float = 0.9, dtype=None):
         self.params = list(params)
         self.momentum = momentum
-        self.velocities = [np.zeros_like(p.data) for p in self.params]
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.params], dtype=dtype)
+        self.velocity = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data)
+        for p, view in zip(self.params, self._views(self.data)):
+            p.data = view
+        self.velocities = self._views(self.velocity)
+        self.grads = self._views(self.grad)
         self.t = 0
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's slice of a flat buffer, in its shape."""
+        views, start = [], 0
+        for p in self.params:
+            views.append(flat[start:start + p.size].reshape(p.shape))
+            start += p.size
+        return views
+
+    def zero_grad(self) -> None:
+        """Bind every parameter's gradient to its slice of the zeroed
+        gradient buffer, which backward then adds into in place."""
+        self.grad.fill(0)
+        for p, g in zip(self.params, self.grads):
+            p.grad = g
 
     def step(self, lr: float) -> None:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ValueError(f"parameter {i} has no gradient; run backward first")
-        for p, v in zip(self.params, self.velocities):
-            v *= self.momentum
-            v += p.grad
-            p.data -= lr * v
+        for p, g in zip(self.params, self.grads):
+            if p.grad is not g:  # a gradient set from outside the buffer
+                g[...] = p.grad
             p.grad = None
+        v = self.velocity
+        v *= self.momentum
+        v += self.grad
+        # the gradients are spent: their buffer takes lr * v, so that no
+        # step allocates
+        np.multiply(v, lr, out=self.grad)
+        self.data -= self.grad
         self.t += 1
 
 
@@ -180,11 +213,13 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
           model_cfg: ModelConfig) -> tuple[ModelParams, list[EpochStats]]:
     """Run the full training loop; deterministic for a fixed seed.
 
-    Training runs in float32: on entry every parameter tensor of
-    ``params`` is cast to TRAIN_DTYPE in place, and the same tensors are
-    then updated in place and returned. ``splits`` needs non-empty
-    ``train`` and ``val`` lists of image samples. Each minibatch runs as
-    one batched forward and backward pass on one tape. One generator,
+    Training runs in float32: on entry the optimizer packs every parameter
+    tensor of ``params`` into one TRAIN_DTYPE buffer, each tensor's data
+    becoming a view of it, and the same tensors are then updated in place
+    and returned. Before each backward pass every gradient is bound to a
+    view of one zeroed buffer, which the pass adds into. ``splits`` needs
+    non-empty ``train`` and ``val`` lists of image samples. Each minibatch
+    runs as one batched forward and backward pass on one tape. One generator,
     seeded from the config, drives shuffling and dropout in a fixed order:
     ``forward`` draws all of a minibatch's dropout uniforms in one call and
     hands each block its slice. The schedule is stepped once per optimizer
@@ -197,13 +232,11 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     if not train_set or not val_set:
         raise ValueError("train and val splits must both be non-empty")
     named = params.named()
-    for _, t in named:
-        t.data = t.data.astype(TRAIN_DTYPE, copy=False)
+    opt = MomentumSGD([t for _, t in named], momentum=train_cfg.momentum, dtype=TRAIN_DTYPE)
 
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
-    opt = MomentumSGD([t for _, t in named], momentum=train_cfg.momentum)
 
     history: list[EpochStats] = []
     for epoch in range(train_cfg.epochs):
@@ -224,16 +257,16 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
                 raise NonFiniteLoss(
                     f"non-finite loss {value} at epoch {epoch} step {opt.t} "
                     f"(batch from video {batch[0].video_id} frame {batch[0].frame_idx})")
+            opt.zero_grad()
             backward(loss, tape)
             loss_sum += value
             correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
             # mean-over-batch gradient keeps lr robust to batch size
-            inv = 1.0 / len(batch)
-            for name, p in named:
-                p.grad *= inv
-                if not np.isfinite(p.grad).all():
-                    raise NonFiniteLoss(f"non-finite gradient of {name} at epoch {epoch} "
-                                        f"step {opt.t}")
+            opt.grad *= 1.0 / len(batch)
+            if not np.isfinite(opt.grad).all():
+                name = next(n for (n, _), g in zip(named, opt.grads) if not np.isfinite(g).all())
+                raise NonFiniteLoss(f"non-finite gradient of {name} at epoch {epoch} "
+                                    f"step {opt.t}")
             opt.step(last_lr)
 
         val_acc, val_auc = evaluate(params, val_set, model_cfg)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bolf.model import ModelConfig, ModelParams, init_params
-from bolf.tensor import Tape, Tensor, backward, grad_check
+from bolf.tensor import Tape, Tensor, backward, grad_check, mul, sum_all
 from bolf.train import (
     TRAIN_DTYPE,
     EpochStats,
@@ -371,3 +371,126 @@ class TestTrainingDtype:
         assert seen["grad"] == [f32] * n
         assert seen["velocity"] == [f32] * n
         assert self._dtypes(params) == {f32}
+
+
+class _PerTensorSGD:
+    """The optimizer before the flat buffers: one velocity per tensor, and
+    each gradient as backward left it."""
+
+    def __init__(self, params, momentum):
+        self.params = params
+        self.momentum = momentum
+        self.velocities = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def step(self, lr):
+        for p, v in zip(self.params, self.velocities):
+            v *= self.momentum
+            v += p.grad
+            p.data -= lr * v
+            p.grad = None
+        self.t += 1
+
+
+def _per_tensor_train(params, splits, cfg, model_cfg):
+    """train()'s loop before the flat buffers: a cast per tensor, then per
+    step a 1/B scale, a finite check and a momentum update per tensor."""
+    train_module = importlib.import_module("bolf.train")
+    named = params.named()
+    for _, t in named:
+        t.data = t.data.astype(TRAIN_DTYPE, copy=False)
+    rng = np.random.default_rng(cfg.seed)
+    total_steps = cfg.epochs * math.ceil(len(splits.train) / cfg.batch_size)
+    opt = _PerTensorSGD([t for _, t in named], cfg.momentum)
+    history = []
+    for epoch in range(cfg.epochs):
+        order = _shuffled_order(splits.train, rng)
+        loss_sum, correct, lr = 0.0, 0, math.nan
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [splits.train[i] for i in order[start:start + cfg.batch_size]]
+            labels = np.array([s.label for s in batch])
+            lr = cosine_lr(opt.t, total_steps, cfg.lr0, cfg.lr_min)
+            with Tape() as tape:
+                logits, _ = train_module.forward(np.stack([s.pixels for s in batch]), params,
+                                                 model_cfg, train=True, rng=rng)
+                loss = cross_entropy(logits, labels)
+            backward(loss, tape)
+            loss_sum += loss.item()
+            correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
+            for _, p in named:
+                p.grad *= 1.0 / len(batch)
+                assert np.isfinite(p.grad).all()
+            opt.step(lr)
+        val_acc, val_auc = evaluate(params, splits.val, model_cfg)
+        history.append(EpochStats(epoch, loss_sum / len(splits.train),
+                                  correct / len(splits.train), val_acc, val_auc, lr))
+    return opt.velocities, history
+
+
+class TestFlatBuffers:
+    """train() packs the parameters, their gradients and the velocities into
+    one buffer each; it must train exactly as the per-tensor loop did."""
+
+    def test_train_matches_the_per_tensor_loop(self, tiny_splits, tiny_model_cfg, monkeypatch):
+        cfg = TrainConfig(epochs=2, batch_size=4, lr0=0.05, seed=0)
+        ref_params = init_params(tiny_model_cfg, seed=0)
+        ref_velocities, ref_history = _per_tensor_train(ref_params, tiny_splits, cfg,
+                                                        tiny_model_cfg)
+
+        train_module = importlib.import_module("bolf.train")
+        made = []
+
+        class Recorded(MomentumSGD):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(train_module, "MomentumSGD", Recorded)
+        params, history = train(init_params(tiny_model_cfg, seed=0), tiny_splits, cfg,
+                                tiny_model_cfg)
+        assert history == ref_history
+        for (name, got), (_, want) in zip(params.named(), ref_params.named()):
+            assert got.data.dtype == want.data.dtype == TRAIN_DTYPE, name
+            assert got.data.tobytes() == want.data.tobytes(), name
+        (opt,) = made
+        assert len(opt.velocities) == len(ref_velocities)
+        for got, want in zip(opt.velocities, ref_velocities):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_parameters_are_views_of_one_buffer(self, tiny_model_cfg):
+        params = init_params(tiny_model_cfg, seed=0)
+        named = params.named()
+        want = [t.data.astype(np.float32) for _, t in named]
+        opt = MomentumSGD([t for _, t in named], dtype=np.float32)
+        assert opt.data.dtype == np.float32 and opt.data.flags.c_contiguous
+        assert opt.data.size == sum(w.size for w in want)
+        for (_, t), w in zip(named, want):
+            assert np.shares_memory(t.data, opt.data)
+            assert t.data.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("momentum", [0.9, 0.5, 0.0])
+    def test_negative_zero_gradient_moves_no_weight(self, momentum):
+        # added into the zeroed buffer, a first gradient of -0.0 becomes
+        # +0.0; the weights still take exactly the per-tensor steps
+        start = np.array([0.0, 1.5, -2.0, 0.25, 1e-45, -1e-45], dtype=np.float32)
+        grads = [np.array(g, dtype=np.float32) for g in (
+            [-0.0, -0.0, 3.0, -0.0, -1e-45, 1e-45],
+            [-1.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+            [-0.0, 2.0, -0.0, -1e-45, -0.0, -0.0],
+            [-0.0] * 6)]
+        ref = Tensor(start.copy())
+        ref_opt = _PerTensorSGD([ref], momentum)
+        p = Tensor(start.copy(), requires_grad=True)
+        opt = MomentumSGD([p], momentum=momentum)
+        for g in grads:
+            ref.grad = g.copy()
+            assert (np.signbit(g) & (g == 0)).any()
+            ref_opt.step(0.1)
+            opt.zero_grad()
+            with Tape() as tape:
+                loss = sum_all(mul(p, g))
+            backward(loss, tape)
+            assert np.array_equal(np.signbit(p.grad), np.signbit(g) & (g != 0))
+            opt.step(0.1)
+            assert p.data.tobytes() == ref.data.tobytes()
