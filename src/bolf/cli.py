@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import functools
 import os
 import sys
@@ -36,6 +35,7 @@ from .data import (
 from .metrics import ScoredSample, UndefinedMetric, accuracy, roc_auc, video_level
 from .model import (
     ModelParams,
+    _keep_freed_memory,
     attention_rollout,
     forward,
     heatmap_to_image,
@@ -55,10 +55,6 @@ REPORT_COLUMNS = ("protocol", "split", "family", "perturbation", "level",
 HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 _OTHER_FAMILY = {"A": "B", "B": "A"}
-
-# glibc's mallopt parameter for the free space kept at the top of the heap
-M_TOP_PAD = -2
-TOP_PAD_BYTES = 16 << 20
 
 
 def _fmt(value) -> str:
@@ -318,19 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(rollout)
     common(sub.add_parser("gradcheck", help="finite-difference gradient audit"))
     return parser
-
-
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Ask glibc, once per process, to keep 16 MiB of freed memory at the
-    top of the heap. A float64 forward frees about 2 MB there, above the
-    threshold at which glibc returns it to the kernel, so without the pad
-    every forward faults the same pages back in. Where the C library has
-    no mallopt (macOS, Windows) nothing is changed."""
-    try:
-        ctypes.CDLL(None).mallopt(M_TOP_PAD, TOP_PAD_BYTES)
-    except (OSError, AttributeError, TypeError):
-        pass
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,6 +15,8 @@ decision can be attributed back to patches via attention rollout.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -36,6 +38,10 @@ from .tensor import (
 )
 
 NUM_CLASSES = 2  # the paper's binary decision: 0 original, 1 manipulated
+
+# glibc's mallopt parameter for the free space kept at the top of the heap
+M_TOP_PAD = -2
+TOP_PAD_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -315,6 +321,19 @@ def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
     return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attn
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Ask glibc, once per process, to keep 16 MiB of freed memory at the
+    top of the heap. A float64 forward frees about 2 MB there, above the
+    threshold at which glibc returns it to the kernel, so without the pad
+    every forward faults the same pages back in. Where the C library has
+    no mallopt (macOS, Windows) nothing is changed."""
+    try:
+        ctypes.CDLL(None).mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def forward(images, params: ModelParams, config: ModelConfig,
             train: bool = False,
             rng: np.random.Generator | None = None,
@@ -346,7 +365,11 @@ def forward(images, params: ModelParams, config: ModelConfig,
     depend on how the images are batched. Block i takes slice
     ``[:, i]``; the last block takes only its class-token row, the
     uniforms that row drew when that block's MLP ran on every token.
+
+    The first forward in a process sets the allocator's heap pad
+    (:func:`_keep_freed_memory`), whoever calls it.
     """
+    _keep_freed_memory()
     pixels = np.asarray(images, dtype=params.patch_w.data.dtype)
     single = pixels.ndim == 3
     if single:

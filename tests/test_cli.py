@@ -440,6 +440,27 @@ TINY_GEN_DATA = ["gen-data", "--set", "data.train_count=2", "--set", "data.val_c
                  "--set", "data.test_count=2"]
 
 
+# 20 default-model 16-frame float64 forwards after 3 warm-up ones, in a
+# process that never imports bolf.cli; prints whether it did, and the minor
+# page faults of the 20
+FORWARDS_WITHOUT_MAIN = """
+import resource, sys
+import numpy as np
+from bolf.data import DatasetSpec, gen_original
+from bolf.model import ModelConfig, ModelParams, forward, init_params
+cfg = ModelConfig()
+params = ModelParams.from_arrays(
+    cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()}, requires_grad=False)
+images = np.stack([gen_original(DatasetSpec(), "v", i).pixels for i in range(16)])
+for _ in range(3):
+    forward(images, params, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    forward(images, params, cfg)
+print("bolf.cli" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 def _raising(exc):
     def cdll(name):
         raise exc
@@ -447,8 +468,9 @@ def _raising(exc):
 
 
 class TestKeepFreedMemory:
-    """main() asks glibc once per process to keep freed memory at the top
-    of the heap, so forwards reuse pages instead of faulting them in."""
+    """main() and the first forward ask glibc once per process to keep
+    freed memory at the top of the heap, so forwards reuse pages instead of
+    faulting them in."""
 
     @pytest.fixture
     def fresh(self):
@@ -471,6 +493,19 @@ class TestKeepFreedMemory:
             forward(images, params, cfg)
         # 9,600-12,900 when glibc trims the heap after every forward
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_forwards_without_main_fault_no_pages_back_in(self):
+        # a library caller: a fresh process that runs forwards and never main()
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", FORWARDS_WITHOUT_MAIN],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        cli_loaded, faults = done.stdout.split()
+        assert cli_loaded == "False"
+        # 12,900 when glibc trims the heap after every forward
+        assert int(faults) < 50
 
     @pytest.mark.parametrize("cdll", [
         pytest.param(lambda name: object(), id="no-mallopt"),
