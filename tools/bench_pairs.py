@@ -11,8 +11,9 @@ in each tree, the parent first in even pairs and the change first in odd
 ones. Metric names, directions and bounds come from the parent's
 BENCHMARK.json, and so does the default run length. Every run's figures
 are printed as it ends; then, per workload and metric, the parent's median
-and Q1-Q3, the change's median, the relative change against the bound, and
-in how many pairs the change was better (ties count for neither). Each
+and Q1-Q3, the change's median, the relative change, in how many pairs the
+change was better (ties count for neither) and a verdict: "gain", "worse"
+(beyond the metric's bound) or "unresolved" (see ``summary``). Each
 run's minor page faults (the child's ``ru_minflt``) are printed with its
 figures, and each side's median with the summary.
 
@@ -61,14 +62,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 def summary(metric: dict, parent: list[float], change: list[float]) -> str:
     """One line: parent median and Q1-Q3, change median, relative change,
-    and the pairs in which the change was better."""
+    the pairs in which the change was better, and a verdict: "worse" if
+    the change's median is worse than the parent's by more than the
+    metric's bound, "gain" if the change was better in at least 9/10 of
+    the pairs and its median is better by more than the parent's Q1-Q3
+    spread, and "unresolved" otherwise."""
     lower = metric["better"] == "lower"
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                  if len(parent) > 1 else parent * 3)
     wins = sum(c < p if lower else c > p for p, c in zip(parent, change))
-    worse = (c_med - p_med if lower else p_med - c_med) / p_med
-    verdict = "WORSE than bound" if worse > metric["bound"] else "within bound"
+    gained = p_med - c_med if lower else c_med - p_med
+    if -gained / p_med > metric["bound"]:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(parent) and gained > q3 - q1:
+        verdict = "gain"
+    else:
+        verdict = "unresolved"
     return (f"  {metric['name']:13s} parent {p_med:10.4g} (Q1-Q3 {q1:.4g}-{q3:.4g})  "
             f"change {c_med:10.4g}  {100 * (c_med / p_med - 1):+6.1f}%  "
             f"better in {wins}/{len(parent)}  bound {metric['bound']:.2f}: {verdict}")
