@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_memory()
+    _keep_freed_memory()  # forward sets it too, but gen-data runs no forward
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.seed, args.out)
