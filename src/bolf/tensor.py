@@ -473,8 +473,9 @@ def layer_norm(x, gamma, beta) -> Tensor:
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} must both be ({d},) "
             f"to match input {x.shape}")
     # every mean is a sum divided by d. ndarray.mean divides a float32 sum
-    # by an intp, in float64, and rounds twice; for d below 2**29 that
-    # gives the bits of this one float32 division
+    # by an intp, in float64, and rounds twice; for any d that float32
+    # holds exactly (every d up to 2**24) that gives the bits of this one
+    # float32 division
     mu = np.add.reduce(x.data, axis=-1, keepdims=True)
     mu /= d
     centered = x.data - mu
@@ -517,24 +518,12 @@ def layer_norm(x, gamma, beta) -> Tensor:
 def gelu(x) -> Tensor:
     """Gaussian-error linear unit, exact erf form 0.5*x*(1 + erf(x/sqrt(2)))."""
     x = _wrap(x)
-    # every step after the first runs in place; the first is given an out
-    # array, so that a 0-d input still gives an array, not a numpy scalar
-    cdf = np.divide(x.data, _SQRT_2, out=np.empty_like(x.data))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = 0.5 * (1.0 + erf(x.data / _SQRT_2))
     out = Tensor(x.data * cdf, x.requires_grad)
 
     def adjoint(g):
-        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
-        dx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
-        dx *= x.data
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT_2PI
-        dx *= x.data
-        dx += cdf
-        dx *= g
-        _accum(x, dx, fresh=True)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
+        _accum(x, g * (cdf + x.data * pdf), fresh=True)
 
     _record(out, adjoint)
     return out

@@ -94,17 +94,16 @@ def cosine_lr(t: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> floa
 class MomentumSGD:
     """Classic momentum (no Nesterov): v <- m*v + g; p <- p - lr*v.
 
-    The parameters are packed, in order, into one contiguous buffer of
-    ``dtype`` (by default their common dtype), and each parameter's data
-    becomes a view of its slice; the velocities are views of one buffer
-    too, so a step is a few calls on whole buffers. Grads are cleared after
-    each step.
+    The parameters are packed, in order, into one contiguous buffer, and
+    each parameter's data becomes a view of its slice; the velocities are
+    views of one buffer too, so a step is a few calls on whole buffers.
+    Grads are cleared after each step.
     """
 
-    def __init__(self, params: list[Tensor], momentum: float = 0.9, dtype=None):
+    def __init__(self, params: list[Tensor], momentum: float = 0.9):
         self.params = list(params)
         self.momentum = momentum
-        self.data = np.concatenate([p.data.reshape(-1) for p in self.params], dtype=dtype)
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.params])
         self.velocity = np.zeros_like(self.data)
         self.grad = np.zeros_like(self.data)
         for p, view in zip(self.params, self._views(self.data)):
@@ -123,18 +122,23 @@ class MomentumSGD:
 
     def zero_grad(self) -> None:
         """Bind every parameter's gradient to its slice of the zeroed
-        gradient buffer, which backward then adds into in place."""
+        gradient buffer, which backward then adds into in place. The next
+        step then treats every parameter as reached: one that backward
+        does not reach takes a zero gradient."""
         self.grad.fill(0)
         for p, g in zip(self.params, self.grads):
             p.grad = g
 
     def step(self, lr: float) -> None:
-        for i, p in enumerate(self.params):
+        # a slice whose parameter holds a gradient from outside the buffer
+        # is read by nothing, so copying into it before a later parameter
+        # fails the check changes no state
+        for i, (p, g) in enumerate(zip(self.params, self.grads)):
             if p.grad is None:
                 raise ValueError(f"parameter {i} has no gradient; run backward first")
-        for p, g in zip(self.params, self.grads):
-            if p.grad is not g:  # a gradient set from outside the buffer
+            if p.grad is not g:
                 g[...] = p.grad
+        for p in self.params:
             p.grad = None
         v = self.velocity
         v *= self.momentum
@@ -213,14 +217,16 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
           model_cfg: ModelConfig) -> tuple[ModelParams, list[EpochStats]]:
     """Run the full training loop; deterministic for a fixed seed.
 
-    Training runs in float32: on entry the optimizer packs every parameter
-    tensor of ``params`` into one TRAIN_DTYPE buffer, each tensor's data
-    becoming a view of it, and the same tensors are then updated in place
-    and returned. Before each backward pass every gradient is bound to a
-    view of one zeroed buffer, which the pass adds into. ``splits`` needs
-    non-empty ``train`` and ``val`` lists of image samples. Each minibatch
-    runs as one batched forward and backward pass on one tape. One generator,
-    seeded from the config, drives shuffling and dropout in a fixed order:
+    Training runs in float32: on entry every parameter tensor of
+    ``params`` is cast to TRAIN_DTYPE and the optimizer packs them into one
+    buffer, each tensor's data becoming a view of it; the same tensors are
+    then updated in place and returned. Before each backward pass every
+    gradient is bound to a view of one zeroed buffer, which the pass adds
+    into, so a parameter the pass does not reach is stepped with a zero
+    gradient rather than rejected. ``splits`` needs non-empty ``train`` and
+    ``val`` lists of image samples. Each minibatch runs as one batched
+    forward and backward pass on one tape. One generator, seeded from the
+    config, drives shuffling and dropout in a fixed order:
     ``forward`` draws all of a minibatch's dropout uniforms in one call and
     hands each block its slice. The schedule is stepped once per optimizer
     step with T = epochs * ceil(len(train) / batch_size). A non-finite loss
@@ -232,7 +238,9 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     if not train_set or not val_set:
         raise ValueError("train and val splits must both be non-empty")
     named = params.named()
-    opt = MomentumSGD([t for _, t in named], momentum=train_cfg.momentum, dtype=TRAIN_DTYPE)
+    for _, t in named:
+        t.data = t.data.astype(TRAIN_DTYPE, copy=False)
+    opt = MomentumSGD([t for _, t in named], momentum=train_cfg.momentum)
 
     rng = np.random.default_rng(train_cfg.seed)
     steps_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)

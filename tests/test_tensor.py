@@ -739,8 +739,8 @@ class TestProperties:
 
 
 # The formulas of layer_norm, softmax_rows and gelu, forward and adjoint, and
-# transpose's inverse permutation, as they were written before the kernels
-# ran in place; the kernels must give their bytes exactly.
+# transpose's inverse permutation, written with ndarray.mean, max and argsort
+# and a new array per step; the kernels must give their bytes exactly.
 
 def _layer_norm_oracle(x, gamma, beta, g):
     d = x.shape[-1]

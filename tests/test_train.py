@@ -461,8 +461,10 @@ class TestFlatBuffers:
     def test_parameters_are_views_of_one_buffer(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
         named = params.named()
-        want = [t.data.astype(np.float32) for _, t in named]
-        opt = MomentumSGD([t for _, t in named], dtype=np.float32)
+        for _, t in named:
+            t.data = t.data.astype(np.float32)
+        want = [t.data.copy() for _, t in named]
+        opt = MomentumSGD([t for _, t in named])
         assert opt.data.dtype == np.float32 and opt.data.flags.c_contiguous
         assert opt.data.size == sum(w.size for w in want)
         for (_, t), w in zip(named, want):
@@ -494,3 +496,35 @@ class TestFlatBuffers:
             assert np.array_equal(np.signbit(p.grad), np.signbit(g) & (g != 0))
             opt.step(0.1)
             assert p.data.tobytes() == ref.data.tobytes()
+
+    def test_bound_parameter_that_backward_misses_takes_a_zero_gradient(self):
+        # after zero_grad every parameter counts as reached, so step does
+        # not reject one that backward left alone: its gradient is zero
+        reached = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        missed = Tensor(np.array([3.0]), requires_grad=True)
+        opt = MomentumSGD([reached, missed])
+        for _ in range(2):
+            opt.zero_grad()
+            with Tape() as tape:
+                loss = sum_all(mul(reached, np.array([0.5, -1.0])))
+            backward(loss, tape)
+            assert missed.grad.tobytes() == np.zeros(1).tobytes()
+            opt.step(0.1)
+        assert missed.data.tobytes() == np.array([3.0]).tobytes()
+        assert opt.velocities[1].tobytes() == np.zeros(1).tobytes()
+        assert not np.array_equal(reached.data, [1.0, 2.0])
+
+    def test_missing_gradient_changes_nothing(self):
+        # the check runs over every parameter before any gradient is cleared
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0]), requires_grad=True)
+        c = Tensor(np.array([3.0]), requires_grad=True)
+        opt = MomentumSGD([a, b, c])
+        ga, gb = np.array([4.0]), np.array([5.0])
+        a.grad, b.grad = ga, gb
+        with pytest.raises(ValueError, match="parameter 2"):
+            opt.step(0.1)
+        assert a.grad is ga and b.grad is gb and c.grad is None
+        assert opt.t == 0
+        assert opt.data.tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
+        assert opt.velocity.tobytes() == np.zeros(3).tobytes()
