@@ -269,7 +269,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     failures = 0
     for name, f, x in checks + [(f"model/{n}", model_loss(n), t.data)
                                 for n, t in params.named()]:
-        report = grad_check(f, x, step=1e-3, tol=1e-2)
+        report = grad_check(f, x)
         failures += not report.passed
         status = "ok" if report.passed else "FAIL"
         print(f"{name:28s} n={report.n_checked:3d} "

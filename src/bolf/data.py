@@ -581,8 +581,8 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     ``splits``, each of which must list at least one row; the other splits
     come back empty. All rows must name the same, known family, all rows of
     a video the same label and the same split, and no frame of a video may
-    be listed twice. Tamper masks are not persisted, so loaded fakes carry
-    mask None.
+    be listed twice, and every image read must have the first one's shape.
+    Tamper masks are not persisted, so loaded fakes carry mask None.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -596,6 +596,7 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     video_labels: dict[str, str] = {}
     video_splits: dict[str, str] = {}
     frames_seen: set[tuple[str, int]] = set()
+    first_image = None
     try:
         text = manifest_path.read_bytes().decode("utf-8")
         rows = list(csv.reader(io.StringIO(text, newline="")))
@@ -636,8 +637,14 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
             raise FormatError(f"frame {frame} of video {video_id!r} is listed twice in manifest")
         frames_seen.add((video_id, frame))
         if split in splits:
+            pixels = read_ppm(base / rel)
+            if first_image is None:
+                first_image = (rel, pixels.shape)
+            elif pixels.shape != first_image[1]:
+                raise FormatError(f"image {rel} has shape {pixels.shape}, but {first_image[0]} "
+                                  f"has {first_image[1]}")
             loaded[split].append(ImageSample(
-                pixels=read_ppm(base / rel), label=int(label), video_id=video_id,
+                pixels=pixels, label=int(label), video_id=video_id,
                 frame_idx=frame, tamper_mask=None, family=family))
     for name in splits:
         if not loaded[name]:

@@ -37,6 +37,8 @@ _FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 LN_EPS = 1e-5  # layer_norm's variance floor
 GRAD_CHECK_COORDS = 16  # coordinates grad_check probes per input
+GRAD_CHECK_STEP = 1e-3  # grad_check's central-difference step
+GRAD_CHECK_TOL = 1e-2  # grad_check's bound on the worst relative error
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -580,8 +582,6 @@ class GradCheckReport:
     """Outcome of a finite-difference gradient check."""
 
     passed: bool
-    tol: float
-    step: float
     n_checked: int
     worst_rel: float
     worst_coord: tuple[int, ...] | None
@@ -594,16 +594,17 @@ class GradCheckReport:
             f" at {self.worst_coord} (analytic {self.worst_analytic:.6g}, "
             f"central {self.worst_numeric:.6g})")
         return (f"{status}: worst relative error {self.worst_rel:.3g} over "
-                f"{self.n_checked} coordinates (tol {self.tol:g}){where}")
+                f"{self.n_checked} coordinates (tol {GRAD_CHECK_TOL:g}){where}")
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-3,
-               tol: float = 1e-2) -> GradCheckReport:
+def grad_check(f: Callable[[Tensor], Tensor], x) -> GradCheckReport:
     """Compare the tape's gradient of scalar f against central differences.
 
     Checks GRAD_CHECK_COORDS coordinates drawn by a fixed-seed generator
-    (all of them when the input is no larger). Relative error per
-    coordinate is ``|analytic - central| / max(|analytic|, |central|, 1e-8)``.
+    (all of them when the input is no larger), with central differences of
+    step GRAD_CHECK_STEP. Relative error per coordinate is
+    ``|analytic - central| / max(|analytic|, |central|, 1e-8)``, and the
+    check passes if the worst one is below GRAD_CHECK_TOL.
 
     Raises NumericError if re-evaluating f at the same point gives a
     different value (f must be deterministic).
@@ -634,12 +635,12 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-3,
     flat_base = base.reshape(-1)
     for c in coords:
         plus = flat_base.copy()
-        plus[c] += step
+        plus[c] += GRAD_CHECK_STEP
         minus = flat_base.copy()
-        minus[c] -= step
+        minus[c] -= GRAD_CHECK_STEP
         f_plus = f(Tensor(plus.reshape(base.shape))).item()
         f_minus = f(Tensor(minus.reshape(base.shape))).item()
-        numeric = (f_plus - f_minus) / (2.0 * step)
+        numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
         a = float(flat_analytic[c])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         if rel >= worst_rel:
@@ -647,9 +648,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-3,
             worst_coord = np.unravel_index(int(c), base.shape)
             worst_a, worst_n = a, numeric
     return GradCheckReport(
-        passed=worst_rel < tol,
-        tol=tol,
-        step=step,
+        passed=worst_rel < GRAD_CHECK_TOL,
         n_checked=len(coords),
         worst_rel=worst_rel,
         worst_coord=worst_coord,

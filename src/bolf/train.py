@@ -95,9 +95,11 @@ class MomentumSGD:
     """Classic momentum (no Nesterov): v <- m*v + g; p <- p - lr*v.
 
     The parameters are packed, in order, into one contiguous buffer, and
-    each parameter's data becomes a view of its slice; the velocities are
-    views of one buffer too, so a step is a few calls on whole buffers.
-    Grads are cleared after each step.
+    each parameter's data becomes a view of its slice; its grad is bound
+    for good to its slice of a zeroed gradient buffer, which backward adds
+    into in place, and the velocities live in a third buffer. So a step is
+    a few calls on whole buffers, and a parameter that backward does not
+    reach takes a zero gradient. Each step zeroes the gradient buffer.
     """
 
     def __init__(self, params: list[Tensor], momentum: float = 0.9):
@@ -106,47 +108,23 @@ class MomentumSGD:
         self.data = np.concatenate([p.data.reshape(-1) for p in self.params])
         self.velocity = np.zeros_like(self.data)
         self.grad = np.zeros_like(self.data)
-        for p, view in zip(self.params, self._views(self.data)):
-            p.data = view
-        self.velocities = self._views(self.velocity)
-        self.grads = self._views(self.grad)
+        start = 0
+        for p in self.params:
+            stop = start + p.size
+            p.data = self.data[start:stop].reshape(p.shape)
+            p.grad = self.grad[start:stop].reshape(p.shape)
+            start = stop
         self.t = 0
 
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each parameter's slice of a flat buffer, in its shape."""
-        views, start = [], 0
-        for p in self.params:
-            views.append(flat[start:start + p.size].reshape(p.shape))
-            start += p.size
-        return views
-
-    def zero_grad(self) -> None:
-        """Bind every parameter's gradient to its slice of the zeroed
-        gradient buffer, which backward then adds into in place. The next
-        step then treats every parameter as reached: one that backward
-        does not reach takes a zero gradient."""
-        self.grad.fill(0)
-        for p, g in zip(self.params, self.grads):
-            p.grad = g
-
     def step(self, lr: float) -> None:
-        # a slice whose parameter holds a gradient from outside the buffer
-        # is read by nothing, so copying into it before a later parameter
-        # fails the check changes no state
-        for i, (p, g) in enumerate(zip(self.params, self.grads)):
-            if p.grad is None:
-                raise ValueError(f"parameter {i} has no gradient; run backward first")
-            if p.grad is not g:
-                g[...] = p.grad
-        for p in self.params:
-            p.grad = None
         v = self.velocity
         v *= self.momentum
         v += self.grad
         # the gradients are spent: their buffer takes lr * v, so that no
-        # step allocates
+        # step allocates, and is then zeroed for the next backward
         np.multiply(v, lr, out=self.grad)
         self.data -= self.grad
+        self.grad.fill(0)
         self.t += 1
 
 
@@ -220,15 +198,14 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     Training runs in float32: on entry every parameter tensor of
     ``params`` is cast to TRAIN_DTYPE and the optimizer packs them into one
     buffer, each tensor's data becoming a view of it; the same tensors are
-    then updated in place and returned. Before each backward pass every
-    gradient is bound to a view of one zeroed buffer, which the pass adds
-    into, so a parameter the pass does not reach is stepped with a zero
-    gradient rather than rejected. ``splits`` needs non-empty ``train`` and
-    ``val`` lists of image samples. Each minibatch runs as one batched
-    forward and backward pass on one tape. One generator, seeded from the
-    config, drives shuffling and dropout in a fixed order:
-    ``forward`` draws all of a minibatch's dropout uniforms in one call and
-    hands each block its slice. The schedule is stepped once per optimizer
+    then updated in place and returned. Each tensor's gradient is a view of
+    the optimizer's gradient buffer, which every step zeroes, so a
+    parameter that backward does not reach is stepped with a zero gradient.
+    ``splits`` needs non-empty ``train`` and ``val`` lists of image
+    samples. Each minibatch runs as one batched forward and backward pass
+    on one tape. One generator, seeded from the config, drives shuffling
+    and dropout in a fixed order: ``forward`` draws all of a minibatch's
+    dropout uniforms in one call and hands each block its slice. The schedule is stepped once per optimizer
     step with T = epochs * ceil(len(train) / batch_size). A non-finite loss
     or gradient stops training before the update, naming where it
     happened. Every epoch ends with an eval-mode pass over ``val``.
@@ -265,14 +242,13 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
                 raise NonFiniteLoss(
                     f"non-finite loss {value} at epoch {epoch} step {opt.t} "
                     f"(batch from video {batch[0].video_id} frame {batch[0].frame_idx})")
-            opt.zero_grad()
             backward(loss, tape)
             loss_sum += value
             correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
             # mean-over-batch gradient keeps lr robust to batch size
             opt.grad *= 1.0 / len(batch)
             if not np.isfinite(opt.grad).all():
-                name = next(n for (n, _), g in zip(named, opt.grads) if not np.isfinite(g).all())
+                name = next(n for n, t in named if not np.isfinite(t.grad).all())
                 raise NonFiniteLoss(f"non-finite gradient of {name} at epoch {epoch} "
                                     f"step {opt.t}")
             opt.step(last_lr)

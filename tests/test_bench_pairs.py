@@ -1,6 +1,9 @@
-"""The verdict that tools/bench_pairs.py prints for each metric."""
+"""The verdict that tools/bench_pairs.py prints for each metric, and how it
+reads one run's output."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,22 @@ def test_gain_needs_nine_of_ten_pairs_and_a_gap_beyond_the_spread(metric, sign):
 def test_worse_only_beyond_the_bound(metric, sign):
     assert _verdict(metric, PARENT, [p - sign * 30.0 for p in PARENT]) == "worse"
     assert _verdict(metric, PARENT, [p - sign * 20.0 for p in PARENT]) == "unresolved"
+
+
+@pytest.mark.parametrize("stdout, returncode, ok", [
+    ("machine {}\n" + json.dumps({"correct": True, "failed": 0, "metrics": {}}) + "\n", 0, True),
+    ("machine {}\nTraceback (most recent call last):\n", 0, False),
+    ("machine {}\n[1, 2]\n", 0, False),
+    ("machine {}\n{\"metrics\": {}}\n", 0, False),
+    ("", 0, False),
+    ("machine {}\n" + json.dumps({"correct": True, "failed": 0, "metrics": {}}) + "\n", 1, False),
+], ids=["result", "traceback", "list", "no_verdict", "no_output", "exit_1"])
+def test_a_run_without_a_result_object_is_a_fault(monkeypatch, tmp_path, stdout, returncode, ok):
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, returncode, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result, _ = bench_pairs.run_once(tmp_path, "train", 1, 1.0)
+    assert (result["correct"] and result["failed"] == 0) is ok
+    if not ok:
+        assert result["metrics"] == {}

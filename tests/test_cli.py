@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import bolf.cli as cli
 from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from bolf.data import DatasetSpec, FormatError, gen_original, load_manifest, read_ppm
+from bolf.data import (DatasetSpec, FormatError, gen_original, load_manifest, read_ppm,
+                       write_ppm)
 from bolf.model import ModelConfig, ModelParams, forward, init_params
 from bolf.tensor import Tensor, mul, sum_all
 from bolf.weights import load_weights, save_weights
@@ -335,6 +336,24 @@ class TestExitCodes:
         assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path),
                      "--set", f"run.weights_out={weights}"]) == EXIT_DATA
         assert f"lists no {split!r} samples" in capsys.readouterr().err
+        assert not weights.exists()
+
+    @pytest.mark.parametrize("command, split, shape", [
+        ("train", "train", (8, 8, 1)),
+        ("eval", "test", (16, 16, 3)),
+    ])
+    def test_images_of_mixed_shapes(self, ws, tmp_path, capsys, command, split, shape):
+        # one image of another size or channel count is a data error, not a
+        # traceback from np.stack
+        shutil.copytree(ws["out"] / "images", tmp_path / "images")
+        shutil.copy(ws["out"] / "manifest.csv", tmp_path / "manifest.csv")
+        odd = [row[0] for row in _read_csv(ws["out"] / "manifest.csv") if row[-1] == split][-1]
+        write_ppm(tmp_path / odd, np.zeros(shape))
+        weights = tmp_path / "w.bolf"
+        assert main([command, "--config", ws["cfg"], "--out", str(tmp_path),
+                     "--set", f"run.weights_in={ws['out'] / 'weights.bolf'}",
+                     "--set", f"run.weights_out={weights}"]) == EXIT_DATA
+        assert f"image {odd} has shape {shape}" in capsys.readouterr().err
         assert not weights.exists()
 
     def test_malformed_override(self, capsys):

@@ -587,6 +587,19 @@ class TestManifest:
         with pytest.raises(ValueError):
             load_manifest(manifest, ("holdout",))
 
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (16, 16, 3)])
+    def test_images_of_mixed_shapes_rejected(self, tiny_splits, tmp_path, shape):
+        # a smaller image, or a colour one among grey ones, would otherwise
+        # reach np.stack in the middle of a batch
+        manifest = write_dataset(tiny_splits, tmp_path / "corpus")
+        rows = manifest.read_text().splitlines()
+        first, last = rows[1].split(",")[0], rows[-1].split(",")[0]
+        write_ppm(manifest.parent / last, np.zeros(shape))
+        with pytest.raises(FormatError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == (f"image {last} has shape {shape}, but {first} "
+                                  f"has (16, 16, 1)")
+
     def test_rewrite_is_byte_identical(self, tiny_splits, tmp_path):
         first = write_dataset(tiny_splits, tmp_path / "c")
         blob = first.read_bytes()

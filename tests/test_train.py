@@ -106,7 +106,7 @@ class TestMomentumSGD:
         p = self._param(0.0)
         opt = MomentumSGD([p], momentum=0.9)
         for _ in range(2):
-            p.grad = np.array([2.0])
+            p.grad[...] = 2.0
             opt.step(0.1)
         assert p.data[0] == pytest.approx(-2.9 * 0.1 * 2.0, abs=1e-15)
 
@@ -116,7 +116,7 @@ class TestMomentumSGD:
         opt = MomentumSGD([p], momentum=m)
         expect, v = 0.0, 0.0
         for _ in range(6):
-            p.grad = np.array([g])
+            p.grad[...] = g
             opt.step(lr)
             v = m * v + g
             expect -= lr * v
@@ -125,23 +125,30 @@ class TestMomentumSGD:
     def test_zero_momentum_is_plain_sgd(self):
         p = self._param(5.0)
         opt = MomentumSGD([p], momentum=0.0)
-        p.grad = np.array([10.0])
+        p.grad[...] = 10.0
         opt.step(0.01)
         assert p.data[0] == pytest.approx(4.9)
-
-    def test_missing_gradient_rejected(self):
-        p = self._param()
-        opt = MomentumSGD([p])
-        with pytest.raises(ValueError):
-            opt.step(0.1)
 
     def test_gradients_cleared_and_step_counted(self):
         p = self._param()
         opt = MomentumSGD([p])
-        p.grad = np.array([1.0])
+        p.grad[...] = 1.0
         opt.step(0.1)
-        assert p.grad is None
+        assert np.shares_memory(p.grad, opt.grad)
+        assert p.grad.tobytes() == np.zeros(1).tobytes()
         assert opt.t == 1
+
+    def test_two_backward_passes_then_one_step_use_the_summed_gradient(self):
+        p = self._param(1.0)
+        opt = MomentumSGD([p], momentum=0.9)
+        for weight in (2.0, 3.0):
+            with Tape() as tape:
+                loss = sum_all(mul(p, np.array([weight])))
+            backward(loss, tape)
+        assert p.grad[0] == 5.0
+        opt.step(0.1)
+        assert p.data[0] == 1.0 - 0.1 * 5.0
+        assert opt.velocity[0] == 5.0
 
 
 class TestTrainConfigValidation:
@@ -351,7 +358,7 @@ class TestTrainingDtype:
         def recording_step(opt, lr):
             seen["grad"] += [p.grad.dtype for p in opt.params]
             real_step(opt, lr)
-            seen["velocity"] += [v.dtype for v in opt.velocities]
+            seen["velocity"].append(opt.velocity.dtype)
 
         monkeypatch.setattr(train_module, "forward", recording_forward)
         monkeypatch.setattr(train_module, "cross_entropy", recording_loss)
@@ -369,7 +376,7 @@ class TestTrainingDtype:
         n = len(params.named())
         assert seen["loss"] == [f32]
         assert seen["grad"] == [f32] * n
-        assert seen["velocity"] == [f32] * n
+        assert seen["velocity"] == [f32]
         assert self._dtypes(params) == {f32}
 
 
@@ -453,10 +460,9 @@ class TestFlatBuffers:
             assert got.data.dtype == want.data.dtype == TRAIN_DTYPE, name
             assert got.data.tobytes() == want.data.tobytes(), name
         (opt,) = made
-        assert len(opt.velocities) == len(ref_velocities)
-        for got, want in zip(opt.velocities, ref_velocities):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        assert opt.velocity.dtype == TRAIN_DTYPE
+        assert opt.velocity.tobytes() == np.concatenate(
+            [v.reshape(-1) for v in ref_velocities]).tobytes()
 
     def test_parameters_are_views_of_one_buffer(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
@@ -489,7 +495,6 @@ class TestFlatBuffers:
             ref.grad = g.copy()
             assert (np.signbit(g) & (g == 0)).any()
             ref_opt.step(0.1)
-            opt.zero_grad()
             with Tape() as tape:
                 loss = sum_all(mul(p, g))
             backward(loss, tape)
@@ -498,33 +503,17 @@ class TestFlatBuffers:
             assert p.data.tobytes() == ref.data.tobytes()
 
     def test_bound_parameter_that_backward_misses_takes_a_zero_gradient(self):
-        # after zero_grad every parameter counts as reached, so step does
-        # not reject one that backward left alone: its gradient is zero
+        # every parameter's gradient is its slice of the zeroed buffer, so
+        # one that backward leaves alone takes a zero gradient
         reached = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         missed = Tensor(np.array([3.0]), requires_grad=True)
         opt = MomentumSGD([reached, missed])
         for _ in range(2):
-            opt.zero_grad()
             with Tape() as tape:
                 loss = sum_all(mul(reached, np.array([0.5, -1.0])))
             backward(loss, tape)
             assert missed.grad.tobytes() == np.zeros(1).tobytes()
             opt.step(0.1)
         assert missed.data.tobytes() == np.array([3.0]).tobytes()
-        assert opt.velocities[1].tobytes() == np.zeros(1).tobytes()
+        assert opt.velocity[2:].tobytes() == np.zeros(1).tobytes()
         assert not np.array_equal(reached.data, [1.0, 2.0])
-
-    def test_missing_gradient_changes_nothing(self):
-        # the check runs over every parameter before any gradient is cleared
-        a = Tensor(np.array([1.0]), requires_grad=True)
-        b = Tensor(np.array([2.0]), requires_grad=True)
-        c = Tensor(np.array([3.0]), requires_grad=True)
-        opt = MomentumSGD([a, b, c])
-        ga, gb = np.array([4.0]), np.array([5.0])
-        a.grad, b.grad = ga, gb
-        with pytest.raises(ValueError, match="parameter 2"):
-            opt.step(0.1)
-        assert a.grad is ga and b.grad is gb and c.grad is None
-        assert opt.t == 0
-        assert opt.data.tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
-        assert opt.velocity.tobytes() == np.zeros(3).tobytes()

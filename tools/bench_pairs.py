@@ -46,7 +46,9 @@ def export(rev: str, into: Path) -> None:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
     """perfbench/run.py's result object (its last line of output) and the
-    minor page faults the run took."""
+    minor page faults the run took. A run that fails, or whose last line is
+    not a result object, gives a result that is not correct and has no
+    metrics."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -54,10 +56,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
         cwd=tree, capture_output=True, text=True)
     minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
+    try:
+        result = json.loads(lines[-1]) if lines and not done.returncode else None
+    except json.JSONDecodeError:
+        result = None
+    if not (isinstance(result, dict) and {"correct", "failed", "metrics"} <= result.keys()):
         sys.stderr.write(done.stderr)
         return {"correct": False, "failed": None, "metrics": {}}, minflt
-    return json.loads(lines[-1]), minflt
+    return result, minflt
 
 
 def summary(metric: dict, parent: list[float], change: list[float]) -> str:
