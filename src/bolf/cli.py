@@ -123,6 +123,9 @@ def cmd_train(cfg: RunConfig) -> int:
     weights_path = cfg.weights_out_path()
     os.makedirs(weights_path.parent, exist_ok=True)
     save_weights(weights_path, {name: t.data for name, t in params.named()})
+    # the trained tensors hold the optimizer's parameter and gradient
+    # buffers; the closing metrics below come from the weights file
+    del params
     _write_csv(Path(cfg.out_dir) / "history.csv", HISTORY_COLUMNS,
                [vars(stats) for stats in history])
 
