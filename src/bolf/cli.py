@@ -8,7 +8,6 @@ gradient check).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -29,6 +28,7 @@ from .data import (
     load_manifest,
     perturb,
     read_ppm,
+    write_csv,
     write_dataset,
     write_ppm,
 )
@@ -66,11 +66,7 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, columns, rows) -> None:
     os.makedirs(path.parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
+    write_csv(path, [columns, *([_fmt(row[col]) for col in columns] for row in rows)])
 
 
 def _manifest_path(cfg: RunConfig) -> Path:

@@ -466,6 +466,50 @@ def build_dataset(spec: DatasetSpec) -> DatasetSplits:
 
 
 # ---------------------------------------------------------------------------
+# artifact files
+# ---------------------------------------------------------------------------
+
+def _open_keeping_contents(path, flags: int) -> int:
+    # open()'s own flags and mode, less O_TRUNC
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_file(path, payload) -> None:
+    """Make the file at ``path`` hold exactly the bytes of ``payload``.
+
+    Every artifact is written through here. An existing file is rewritten
+    in place: opened without truncation, written over, then cut to the
+    payload's length. Truncating a file to zero first, as ``open(path,
+    "wb")`` does, makes ext4 (with its default ``auto_da_alloc``) flush
+    the file's blocks to disk on close, and that flush costs more than the
+    write. Rewriting in place keeps the file's inode, so hard links see
+    the new bytes, and a new file gets the bits ``open(path, "wb")`` would
+    give it (0o666 less the umask).
+
+    If a write fails partway, the file is cut to the bytes written so far
+    and the error propagates: a failed rewrite leaves a prefix of the new
+    bytes, never a new head on an old tail. Nothing here syncs to disk,
+    and no writer did before: the old flush on close was a file-system
+    heuristic, not a guarantee.
+    """
+    with memoryview(payload) as view, \
+            open(path, "wb", buffering=0, opener=_open_keeping_contents) as fh:
+        try:
+            done = 0
+            while done < view.nbytes:
+                done += fh.write(view[done:])
+        finally:
+            fh.truncate()  # at the file position: the bytes written so far
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows``, the header first, as UTF-8 CSV with "\\n" line ends."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_file(path, text.getvalue().encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
 # netpbm I/O (binary P6 / P5, maxval 255)
 # ---------------------------------------------------------------------------
 
@@ -477,9 +521,7 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     h, w, c = pixels.shape
     magic = b"P6" if c == 3 else b"P5"
     payload = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n" + f"{w} {h}\n255\n".encode("ascii"))
-        fh.write(payload.tobytes())
+    write_file(path, magic + b"\n" + f"{w} {h}\n255\n".encode("ascii") + payload.tobytes())
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -567,10 +609,7 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
             write_ppm(out_dir / rel, sample.pixels)
             rows.append((rel, sample.label, sample.video_id, sample.frame_idx,
                          sample.family, split))
-    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        writer.writerows(rows)
+    write_csv(manifest_path, [MANIFEST_COLUMNS, *rows])
     return manifest_path
 
 

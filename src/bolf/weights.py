@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import write_file
+
 MAGIC = b"BOLF"
 VERSION = 1
 
@@ -47,8 +49,8 @@ def save_weights(path, named: dict[str, np.ndarray]) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
         blob += arr.tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    write_file(path, blob)
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
