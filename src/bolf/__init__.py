@@ -13,7 +13,7 @@ from .model import (ModelConfig, ModelParams, attention_rollout, embed_patches, 
                     patchify, scaled_dot_attention, unpatchify)
 from .metrics import ScoredSample, UndefinedMetric, accuracy, roc_auc, video_level
 from .train import (EpochStats, MomentumSGD, NonFiniteLoss, TrainConfig,
-                    cosine_lr, cross_entropy, evaluate, fake_score, train)
+                    cosine_lr, cross_entropy, evaluate, fake_score)
 from .data import (DatasetSpec, DatasetSplits, FormatError, ImageSample,
                    PerturbationSpec, build_dataset, gen_manipulated, gen_original,
                    load_manifest, perturb, read_ppm, write_dataset, write_ppm)
@@ -31,7 +31,7 @@ __all__ = [
     "heatmap_to_image", "heatmap_mask_mass",
     "ScoredSample", "roc_auc", "accuracy", "video_level", "UndefinedMetric",
     "TrainConfig", "EpochStats", "MomentumSGD", "NonFiniteLoss",
-    "cross_entropy", "cosine_lr", "train", "evaluate", "fake_score",
+    "cross_entropy", "cosine_lr", "evaluate", "fake_score",
     "DatasetSpec", "DatasetSplits", "ImageSample", "PerturbationSpec",
     "FormatError", "build_dataset", "gen_original", "gen_manipulated",
     "perturb", "read_ppm", "write_ppm", "write_dataset", "load_manifest",
