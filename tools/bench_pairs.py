@@ -13,9 +13,14 @@ BENCHMARK.json, and so does the default run length. Every run's figures
 are printed as it ends; then, per workload and metric, the parent's median
 and Q1-Q3, the change's median, the relative change, in how many pairs the
 change was better (ties count for neither) and a verdict: "gain", "worse"
-(beyond the metric's bound) or "unresolved" (see ``summary``). Each
+(beyond the metric's bound) or "unresolved" (see ``compare``). Each
 run's minor page faults (the child's ``ru_minflt``) are printed with its
 figures, and each side's median with the summary.
+
+The same figures go to DIR/pairs.json: both revisions, the run length,
+and per workload the seeds, every run's figures with the ``machine``
+record perfbench/run.py printed for it, and per metric the numbers and
+verdict of ``compare``.
 
 Exits 1 if any run is not correct or has a failed operation. Writes only
 under DIR, which must lie outside the repository.
@@ -35,6 +40,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
 def export(rev: str, into: Path) -> None:
     """The tree of ``rev``, as committed, in a fresh directory ``into``."""
     if into.exists():
@@ -45,9 +55,10 @@ def export(rev: str, into: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
-    """perfbench/run.py's result object (its last line of output) and the
-    minor page faults the run took. A run that fails, or whose last line is
-    not a result object, gives a result that is not correct and has no
+    """perfbench/run.py's result object (its last line of output), with the
+    record of its ``machine`` line under "machine", and the minor page
+    faults the run took. A run that fails, or whose last line is not a
+    result object, gives a result that is not correct and has no
     metrics."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(
@@ -63,11 +74,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     if not (isinstance(result, dict) and {"correct", "failed", "metrics"} <= result.keys()):
         sys.stderr.write(done.stderr)
         return {"correct": False, "failed": None, "metrics": {}}, minflt
-    return result, minflt
+    machine = next((json.loads(line.split(" ", 1)[1]) for line in lines
+                    if line.startswith("machine ")), None)
+    return result | {"machine": machine}, minflt
 
 
-def summary(metric: dict, parent: list[float], change: list[float]) -> str:
-    """One line: parent median and Q1-Q3, change median, relative change,
+def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """Parent median and Q1-Q3, change median, relative change in percent,
     the pairs in which the change was better, and a verdict: "worse" if
     the change's median is worse than the parent's by more than the
     metric's bound, "gain" if the change was better in at least 9/10 of
@@ -85,9 +98,22 @@ def summary(metric: dict, parent: list[float], change: list[float]) -> str:
         verdict = "gain"
     else:
         verdict = "unresolved"
-    return (f"  {metric['name']:13s} parent {p_med:10.4g} (Q1-Q3 {q1:.4g}-{q3:.4g})  "
-            f"change {c_med:10.4g}  {100 * (c_med / p_med - 1):+6.1f}%  "
-            f"better in {wins}/{len(parent)}  bound {metric['bound']:.2f}: {verdict}")
+    return {"parent_median": p_med, "parent_q1": q1, "parent_q3": q3,
+            "change_median": c_med, "change_pct": 100 * (c_med / p_med - 1),
+            "wins": wins, "pairs": len(parent), "bound": metric["bound"],
+            "verdict": verdict}
+
+
+def summary(metric: dict, parent: list[float], change: list[float]) -> str:
+    """``compare``'s figures and verdict as one line."""
+    return format_line(metric["name"], compare(metric, parent, change))
+
+
+def format_line(name: str, c: dict) -> str:
+    return (f"  {name:13s} parent {c['parent_median']:10.4g} "
+            f"(Q1-Q3 {c['parent_q1']:.4g}-{c['parent_q3']:.4g})  "
+            f"change {c['change_median']:10.4g}  {c['change_pct']:+6.1f}%  "
+            f"better in {c['wins']}/{c['pairs']}  bound {c['bound']:.2f}: {c['verdict']}")
 
 
 def main(argv=None) -> int:
@@ -104,29 +130,32 @@ def main(argv=None) -> int:
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
 
-    top = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
-                              capture_output=True, text=True).stdout.strip()).resolve()
+    top = Path(git("rev-parse", "--show-toplevel")).resolve()
     work = args.work.resolve()
     if work == top or top in work.parents:
         parser.error(f"--work {work} lies inside the repository {top}")
+    revs = dict(zip(SIDES, (args.parent, args.change)))
+    commits = {side: git("rev-parse", f"{rev}^{{commit}}") for side, rev in revs.items()}
     trees = {side: work / side for side in SIDES}
-    for side, rev in zip(SIDES, (args.parent, args.change)):
-        export(rev, trees[side])
+    for side in SIDES:
+        export(commits[side], trees[side])
     bench = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
 
     faults = 0
-    figures = {w: {side: [] for side in SIDES} for w in workloads}
+    seeds = [args.seed + i for i in range(args.pairs)]
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
     for workload in workloads:
-        for i in range(args.pairs):
-            seed = args.seed + i
+        for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 result, minflt = run_once(trees[side], workload, seed, seconds)
                 values = {k: v["value"] for k, v in result["metrics"].items()}
                 ok = result["correct"] and result["failed"] == 0
                 faults += not ok
-                figures[workload][side].append(values | {"minflt": minflt})
+                runs[workload][side].append({
+                    "seed": seed, "ok": ok, "figures": values | {"minflt": minflt},
+                    "machine": result.get("machine")})
                 print(f"{workload} seed {seed} {side}: "
                       + ("ok " if ok else "FAULT ")
                       + " ".join(f"{k} {v:.4g}" for k, v in values.items())
@@ -134,18 +163,26 @@ def main(argv=None) -> int:
 
     print(f"\n{args.pairs} pairs per workload, {seconds:g} s each; "
           f"parent {args.parent}, change {args.change}")
+    record = {side: {"rev": revs[side], "commit": commits[side]} for side in SIDES}
+    record |= {"seconds": seconds, "workloads": {}}
     for workload in workloads:
         print(workload)
-        runs = figures[workload]
+        figures = {side: [r["figures"] for r in runs[workload][side]] for side in SIDES}
+        compared = {}
         for metric in bench["end_to_end"]:
             name = metric["name"]
-            pairs = [(p[name], c[name]) for p, c in zip(runs["parent"], runs["change"])
+            pairs = [(p[name], c[name]) for p, c in zip(figures["parent"], figures["change"])
                      if name in p and name in c]
             if pairs:
-                print(summary(metric, [p for p, _ in pairs], [c for _, c in pairs]))
+                compared[name] = compare(metric, [p for p, _ in pairs], [c for _, c in pairs])
+                print(format_line(name, compared[name]))
         print("  minor faults  " + "  ".join(
-            f"{side} {statistics.median(r['minflt'] for r in runs[side]):.0f}"
+            f"{side} {statistics.median(f['minflt'] for f in figures[side]):.0f}"
             for side in SIDES))
+        record["workloads"][workload] = {"seeds": seeds, "runs": runs[workload],
+                                         "metrics": compared}
+    (work / "pairs.json").write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {work / 'pairs.json'}")
     if faults:
         print(f"{faults} run(s) not correct or with failed operations", file=sys.stderr)
     return 1 if faults else 0
