@@ -1,5 +1,5 @@
-"""The verdict that tools/bench_pairs.py prints for each metric, and how it
-reads one run's output."""
+"""The verdict that tools/bench_pairs.py gives each metric, how it reads
+one run's output, and the pairs.json it writes."""
 
 import importlib.util
 import json
@@ -19,7 +19,9 @@ PARENT = [100.0, 98.0, 102.0, 99.0, 101.0, 97.0, 103.0, 100.0, 99.0, 101.0]  # Q
 
 
 def _verdict(metric, parent, change):
-    return bench_pairs.summary(metric, parent, change).rsplit(": ", 1)[1]
+    compared = bench_pairs.compare(metric, parent, change)
+    assert bench_pairs.summary(metric["name"], compared).endswith(f": {compared['verdict']}")
+    return compared["verdict"]
 
 
 @pytest.mark.parametrize("metric, sign", [(HIGHER, 1), (LOWER, -1)])

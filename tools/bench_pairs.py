@@ -104,12 +104,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
             "verdict": verdict}
 
 
-def summary(metric: dict, parent: list[float], change: list[float]) -> str:
-    """``compare``'s figures and verdict as one line."""
-    return format_line(metric["name"], compare(metric, parent, change))
-
-
-def format_line(name: str, c: dict) -> str:
+def summary(name: str, c: dict) -> str:
+    """One line of ``compare``'s figures and verdict for metric ``name``."""
     return (f"  {name:13s} parent {c['parent_median']:10.4g} "
             f"(Q1-Q3 {c['parent_q1']:.4g}-{c['parent_q3']:.4g})  "
             f"change {c['change_median']:10.4g}  {c['change_pct']:+6.1f}%  "
@@ -175,7 +171,7 @@ def main(argv=None) -> int:
                      if name in p and name in c]
             if pairs:
                 compared[name] = compare(metric, [p for p, _ in pairs], [c for _, c in pairs])
-                print(format_line(name, compared[name]))
+                print(summary(name, compared[name]))
         print("  minor faults  " + "  ".join(
             f"{side} {statistics.median(f['minflt'] for f in figures[side]):.0f}"
             for side in SIDES))
