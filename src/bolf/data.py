@@ -1,5 +1,6 @@
 """Seeded synthetic data: procedural "original" images, locally tampered
-fakes, perturbation suites, and netpbm image I/O.
+fakes, perturbation suites, netpbm image I/O, and ``write_file``, which
+writes every artifact.
 
 Two generator families (A and B) differ in base-texture statistics and
 tamper-style mix, so training on one and evaluating on the other is a
