@@ -34,6 +34,7 @@ from .data import (
 )
 from .metrics import ScoredSample, UndefinedMetric, accuracy, roc_auc, video_level
 from .model import (
+    ModelConfig,
     ModelParams,
     _keep_freed_memory,
     attention_rollout,
@@ -43,7 +44,7 @@ from .model import (
 )
 from .tensor import NumericError, ShapeMismatch, grad_check, primitive_checks
 from .train import EpochStats, cross_entropy, evaluate, fake_score, score_samples, train
-from .weights import WeightsError, load_weights, save_weights
+from .weights import WeightsError, load_weights, read_weights, save_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,15 +74,34 @@ def _manifest_path(cfg: RunConfig) -> Path:
     return Path(cfg.out_dir) / "manifest.csv"
 
 
+# The last model _load_params built: (model config, the weights file's
+# bytes, the model). One entry, replaced only by a load that succeeds.
+_last_model: tuple[ModelConfig, bytes, ModelParams] | None = None
+
+
 def _load_params(cfg: RunConfig, path: Path | None = None) -> ModelParams:
-    """The float64 model in ``path``, by default run.weights_in or else weights_out."""
+    """The float64 model in ``path``, by default run.weights_in or else weights_out.
+
+    The file is read on every call. Decoding, checksumming and validating
+    are pure functions of its bytes and of ``cfg.model``, so when both
+    equal the last successful call's, that call's model is returned as is;
+    its arrays are read-only. Anything else decodes the bytes just read.
+    """
+    global _last_model
     if path is None:
         path = Path(cfg.weights_in) if cfg.weights_in else cfg.weights_out_path()
-    arrays = load_weights(path)
+    blob = read_weights(path)
+    if _last_model is not None and _last_model[0] == cfg.model and _last_model[1] == blob:
+        return _last_model[2]
+    arrays = load_weights(path, blob)
     try:
-        return ModelParams.from_arrays(cfg.model, arrays, requires_grad=False)
+        params = ModelParams.from_arrays(cfg.model, arrays, requires_grad=False)
     except ValueError as exc:
         raise WeightsError(f"{path}: {exc}") from None
+    for _, tensor in params.named():
+        tensor.data.flags.writeable = False
+    _last_model = (cfg.model, blob, params)
+    return params
 
 
 def _report_row(cfg: RunConfig, scored: list[ScoredSample], *, split: str,

@@ -429,8 +429,12 @@ def heatmap_to_image(weights: np.ndarray, config: ModelConfig) -> np.ndarray:
     if weights.shape != (config.num_patches,):
         raise ShapeMismatch(
             f"heatmap weights shape {weights.shape} != ({config.num_patches},)")
+    p = config.patch_size
+    # in kron(grid, ones((p, p)))'s dtype, and with its values: each pixel
+    # is its patch's weight times 1.0
     grid = weights.reshape(config.grid_rows, config.grid_cols)
-    return np.kron(grid, np.ones((config.patch_size, config.patch_size)))
+    grid = grid.astype(np.result_type(grid, np.float64), copy=False)
+    return grid.repeat(p, axis=0).repeat(p, axis=1)
 
 
 def heatmap_mask_mass(weights: np.ndarray, mask: np.ndarray,

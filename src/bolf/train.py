@@ -205,10 +205,12 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     samples. Each minibatch runs as one batched forward and backward pass
     on one tape. One generator, seeded from the config, drives shuffling
     and dropout in a fixed order: ``forward`` draws all of a minibatch's
-    dropout uniforms in one call and hands each block its slice. The schedule is stepped once per optimizer
-    step with T = epochs * ceil(len(train) / batch_size). A non-finite loss
-    or gradient stops training before the update, naming where it
-    happened. Every epoch ends with an eval-mode pass over ``val``.
+    dropout uniforms in one call and hands each block its slice.
+
+    The cosine learning-rate schedule is stepped once per optimizer step,
+    with T = epochs * ceil(len(train) / batch_size). A non-finite loss or
+    gradient stops training before the update, naming where it happened.
+    Every epoch ends with an eval-mode pass over ``val``.
     """
     train_set = splits.train
     val_set = splits.val

@@ -53,12 +53,20 @@ def save_weights(path, named: dict[str, np.ndarray]) -> None:
     write_file(path, blob)
 
 
-def load_weights(path) -> dict[str, np.ndarray]:
-    """Returns name -> float32 array in file order; verifies the checksum."""
+def read_weights(path) -> bytes:
+    """The raw bytes of the weights file at ``path``."""
     path = Path(path)
     if not path.exists():
         raise WeightsError(f"weights file not found: {path}")
-    data = path.read_bytes()
+    return path.read_bytes()
+
+
+def load_weights(path, data: bytes | None = None) -> dict[str, np.ndarray]:
+    """Returns name -> fresh float32 array in file order; verifies the
+    checksum. ``data`` is the file's bytes if the caller has read them
+    already; by default they are read from ``path``."""
+    if data is None:
+        data = read_weights(path)
     if len(data) < len(MAGIC) + 12:
         raise WeightsError(f"file too short to be a weights file ({len(data)} bytes)")
     if data[:4] != MAGIC:

@@ -4,8 +4,10 @@ A small corpus is generated and trained once per module; the protocol,
 rollout, determinism, and exit-code tests all work against it.
 """
 
+import builtins
 import csv
 import ctypes
+import io
 import os
 import platform
 import resource
@@ -598,6 +600,149 @@ class TestReuse:
             runs.append((capsys.readouterr().out, _tree(out)))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 2
+
+
+class TestModelMemo:
+    """In one process, _load_params keeps the last model it built, keyed on
+    cfg.model and the exact bytes of the weights file; every call still
+    reads the file, and a changed byte or config builds the model anew."""
+
+    @pytest.fixture
+    def weights(self, ws, tmp_path):
+        path = tmp_path / "w.bolf"
+        path.write_bytes((ws["out"] / "weights.bolf").read_bytes())
+        return path
+
+    @staticmethod
+    def _rollout(ws, weights, out, *extra):
+        image = next((ws["out"] / "images" / "test").glob("*.pgm"))
+        return main(["rollout", str(image), "--config", ws["cfg"], "--out", str(out),
+                     "--set", f"run.weights_in={weights}", *extra])
+
+    @staticmethod
+    def _count_decodes(monkeypatch) -> list:
+        calls = []
+        real = cli.load_weights
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(cli, "load_weights", counting)
+        return calls
+
+    @staticmethod
+    def _rewrite_in_place(path, blob: bytes) -> None:
+        """Write ``blob`` over the file, keeping its inode, size and mtime,
+        as a rewrite within one timestamp tick would."""
+        before = os.stat(path)
+        assert len(blob) == before.st_size
+        with open(path, "r+b") as fh:
+            fh.write(blob)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+               (before.st_ino, before.st_size, before.st_mtime_ns)
+
+    def test_flipped_payload_byte_is_caught(self, ws, weights, tmp_path, capsys):
+        out = tmp_path / "out"
+        good = weights.read_bytes()
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        want = (capsys.readouterr().out, _tree(out))
+        assert self._rollout(ws, weights, out) == EXIT_OK  # a hit
+        assert (capsys.readouterr().out, _tree(out)) == want
+
+        flipped = bytearray(good)
+        flipped[len(good) // 2] ^= 0x01
+        self._rewrite_in_place(weights, bytes(flipped))
+        assert self._rollout(ws, weights, out) == EXIT_DATA
+        assert "checksum mismatch" in capsys.readouterr().err
+
+        self._rewrite_in_place(weights, good)
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        assert (capsys.readouterr().out, _tree(out)) == want
+
+    def test_other_weights_at_same_path_score_as_a_fresh_process(self, ws, weights,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        first = capsys.readouterr().out
+        other = {name: t.data for name, t in init_params(CFG_MODEL, seed=11).named()}
+        save_weights(weights, other)  # rewrites the same inode in place
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        got = capsys.readouterr().out
+
+        image = next((ws["out"] / "images" / "test").glob("*.pgm"))
+        fresh = TestModuleEntryPoint._run(
+            ["rollout", str(image), "--config", ws["cfg"], "--out", str(tmp_path / "fresh"),
+             "--set", f"run.weights_in={weights}"], tmp_path)
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        score = got.splitlines()[0]
+        assert score.startswith("fake_score ")
+        assert score == fresh.stdout.splitlines()[0]
+        assert score != first.splitlines()[0]
+
+    def test_model_config_mismatch_after_a_hit(self, ws, weights, tmp_path, capsys,
+                                               monkeypatch):
+        out = tmp_path / "out"
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        decodes = self._count_decodes(monkeypatch)
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        assert decodes == []
+        capsys.readouterr()
+        assert self._rollout(ws, weights, out, "--set", "model.dim=32") == EXIT_DATA
+        assert "parameter layer0.ln1_gamma: shape (16,) != expected (32,)" in \
+               capsys.readouterr().err
+        assert len(decodes) == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_failed_load_keeps_the_last_model(self, ws, weights, tmp_path, capsys,
+                                              monkeypatch, value):
+        out = tmp_path / "out"
+        good = weights.read_bytes()
+        arrays = load_weights(weights)
+        arrays["fc_b"].flat[0] = value
+        bad = tmp_path / "bad.bolf"
+        save_weights(bad, arrays)  # a valid file with a valid checksum
+
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        want = (capsys.readouterr().out, _tree(out))
+        decodes = self._count_decodes(monkeypatch)
+        self._rewrite_in_place(weights, bad.read_bytes())
+        assert self._rollout(ws, weights, out) == EXIT_DATA
+        assert "parameter fc_b: non-finite values" in capsys.readouterr().err
+        self._rewrite_in_place(weights, good)
+        assert self._rollout(ws, weights, out) == EXIT_OK
+        assert (capsys.readouterr().out, _tree(out)) == want
+        assert decodes == [weights]  # the bad file only: the good one hit
+
+    def test_memoized_arrays_are_read_only(self, ws, weights):
+        cfg = cli.load_config(ws["cfg"], [], None, None)
+        params = cli._load_params(cfg, weights)
+        assert cli._load_params(cfg, weights) is params
+        for name, tensor in params.named():
+            assert tensor.data.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                tensor.data[...] = 0.0
+        # the loader itself still returns fresh, writable float32 arrays
+        arrays = load_weights(weights)
+        assert all(a.dtype == np.float32 and a.flags.writeable for a in arrays.values())
+        assert load_weights(weights)["fc_b"] is not arrays["fc_b"]
+
+    def test_each_call_reads_the_file_once(self, ws, weights, tmp_path, monkeypatch):
+        reads = []
+        real = io.open
+
+        def counting(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == weights:
+                reads.append(args[0] if args else kwargs.get("mode", "r"))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        for i in range(3):
+            assert self._rollout(ws, weights, tmp_path / "out") == EXIT_OK
+            assert reads == ["rb"] * (i + 1)
 
 
 def _damage(data, blob: bytes) -> bytes:

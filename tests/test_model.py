@@ -503,6 +503,20 @@ class TestHeatmap:
         assert (img[2:, :2] == 0.3).all()
         assert (img[2:, 2:] == 0.4).all()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_kron_byte_for_byte(self, dtype):
+        cfg = ModelConfig(height=32, width=32, channels=1, patch_size=8,
+                          dim=4, depth=1, heads=1, mlp_ratio=1)
+        rng = np.random.default_rng(7)
+        grids = [rng.standard_normal(16) for _ in range(50)]
+        grids.append(np.array([-0.0, 0.0, 1e-300, -1.5] * 4))
+        for weights in grids:
+            weights = weights.astype(dtype)
+            want = np.kron(weights.reshape(4, 4), np.ones((8, 8)))
+            got = heatmap_to_image(weights, cfg)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_wrong_weight_count_rejected(self):
         with pytest.raises(ShapeMismatch):
             heatmap_to_image(np.ones(5), ModelConfig())
