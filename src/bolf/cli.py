@@ -91,8 +91,9 @@ def _load_params(cfg: RunConfig, path: Path | None = None) -> ModelParams:
     if path is None:
         path = Path(cfg.weights_in) if cfg.weights_in else cfg.weights_out_path()
     blob = read_weights(path)
-    if _last_model is not None and _last_model[0] == cfg.model and _last_model[1] == blob:
-        return _last_model[2]
+    last = _last_model  # one read, so another thread's load cannot split the entry
+    if last is not None and last[0] == cfg.model and last[1] == blob:
+        return last[2]
     arrays = load_weights(path, blob)
     try:
         params = ModelParams.from_arrays(cfg.model, arrays, requires_grad=False)

@@ -430,8 +430,8 @@ def heatmap_to_image(weights: np.ndarray, config: ModelConfig) -> np.ndarray:
         raise ShapeMismatch(
             f"heatmap weights shape {weights.shape} != ({config.num_patches},)")
     p = config.patch_size
-    # in kron(grid, ones((p, p)))'s dtype, and with its values: each pixel
-    # is its patch's weight times 1.0
+    # at least float64, so that sums over the map (heatmap_mask_mass) of
+    # float32 weights still run in float64; each pixel is its weight exactly
     grid = weights.reshape(config.grid_rows, config.grid_cols)
     grid = grid.astype(np.result_type(grid, np.float64), copy=False)
     return grid.repeat(p, axis=0).repeat(p, axis=1)

@@ -740,9 +740,17 @@ class TestModelMemo:
 
         monkeypatch.setattr(io, "open", counting)
         monkeypatch.setattr(builtins, "open", counting)
-        for i in range(3):
+        decodes = self._count_decodes(monkeypatch)
+        trained = weights.read_bytes()
+        save_weights(weights, {name: t.data
+                               for name, t in init_params(CFG_MODEL, seed=13).named()})
+        untrained = weights.read_bytes()
+        for blob in (untrained, untrained, trained):  # a miss, a hit, a miss
+            weights.write_bytes(blob)
+            reads.clear()
             assert self._rollout(ws, weights, tmp_path / "out") == EXIT_OK
-            assert reads == ["rb"] * (i + 1)
+            assert reads == ["rb"]
+        assert decodes == [weights, weights]
 
 
 def _damage(data, blob: bytes) -> bytes:
