@@ -621,6 +621,7 @@ class TestModelMemo:
 
     @staticmethod
     def _count_decodes(monkeypatch) -> list:
+        """The path of each load that decodes a weights file from here on."""
         calls = []
         real = cli.load_weights
 
