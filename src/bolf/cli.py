@@ -170,10 +170,11 @@ def _perturbed_rows(cfg: RunConfig, params: ModelParams,
                         family=family, perturbation="none", level=0)]
 
     def scored_under(spec_for, salt: int) -> list[ScoredSample]:
-        perturbed = [replace(s, pixels=perturb(s.pixels, spec_for(i),
-                                               cfg.data.seed * 1_000_003 + salt * 9_973 + i))
-                     for i, s in enumerate(base)]
-        return score_samples(params, perturbed, cfg.model)
+        indices = range(len(base))
+        frames = perturb(np.stack([s.pixels for s in base]), [spec_for(i) for i in indices],
+                         [cfg.data.seed * 1_000_003 + salt * 9_973 + i for i in indices])
+        return score_samples(params, [replace(s, pixels=p) for s, p in zip(base, frames)],
+                             cfg.model)
 
     for salt, kind in enumerate(PERTURBATION_KINDS, start=1):
         rows.append(_report_row(

@@ -29,6 +29,7 @@ import functools
 import io
 import os
 import zlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -362,58 +363,102 @@ def _bands(n: int, block: int) -> list[tuple[slice, int]]:
 
 
 def _block_mean(pixels: np.ndarray, block: int) -> np.ndarray:
-    """Each block x block tile of an (H, W, C) image replaced by its
-    per-channel mean; tiles start at the top left, so the last row and
-    column of tiles may be short.
+    """Each block x block tile of an (..., H, W, C) image or stack of images
+    replaced by its per-channel mean; tiles start at the top left, so the
+    last row and column of tiles may be short.
 
     Within each of the at most four bands all tiles have one shape; they
     are copied out contiguous and summed along one axis, which adds each
     tile's pixels in the order ``tile.mean(axis=(0, 1))`` does, so the
-    result equals the per-tile mean bit for bit.
+    result equals the per-tile mean bit for bit, whatever the leading axes.
     """
-    h, w, c = pixels.shape
+    *lead, h, w, c = pixels.shape
     out = np.empty_like(pixels)
     for rows, nr in _bands(h, block):
         for cols, nc in _bands(w, block):
-            band = pixels[rows, cols]
-            r, q = band.shape[0] // nr, band.shape[1] // nc
-            tiles = band.reshape(r, nr, q, nc, c).transpose(0, 2, 1, 3, 4).reshape(r, q, nr * nc, c)
-            means = tiles.sum(axis=2) / (nr * nc)
-            out[rows, cols] = means.repeat(nr, axis=0).repeat(nc, axis=1)
+            band = pixels[..., rows, cols, :]
+            r, q = band.shape[-3] // nr, band.shape[-2] // nc
+            tiles = np.moveaxis(band.reshape(*lead, r, nr, q, nc, c), -4, -3)
+            means = tiles.reshape(*lead, r, q, nr * nc, c).sum(axis=-2) / (nr * nc)
+            # a view of the band's tiles, so each mean spreads over its own
+            out_tiles = out[..., rows, cols, :].reshape(*lead, r, nr, q, nc, c, copy=False)
+            out_tiles[...] = means[..., :, None, :, None, :]
     return out
 
 
-def _apply_kind(pixels: np.ndarray, kind: str, level: int,
-                rng: np.random.Generator) -> np.ndarray:
-    if level == 0:
-        return pixels.copy()
+def _apply_kind(stack: np.ndarray, kind: str, level: int,
+                rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """One distortion at one level over an (N, H, W, C) stack, as a new
+    array. Only noise and brightness consume ``rngs``, one generator per
+    frame in stack order, and draw from each as the frame alone would."""
     if kind == "gaussian_noise":
-        out = pixels + rng.normal(0.0, NOISE_SIGMA_PER_LEVEL * level, size=pixels.shape)
+        sigma = NOISE_SIGMA_PER_LEVEL * level
+        out = np.empty(stack.shape)
+        for frame, rng in zip(out, rngs):
+            frame[...] = rng.normal(0.0, sigma, size=frame.shape)
+        out += stack  # noise + pixels: the same sum, without a second array
     elif kind == "gaussian_blur":
         radius = BLUR_RADIUS_PER_LEVEL * level
-        out = gaussian_filter(pixels, sigma=(radius / 2.0, radius / 2.0, 0), truncate=2.0)
+        out = gaussian_filter(stack, sigma=(0, radius / 2.0, radius / 2.0, 0), truncate=2.0)
     elif kind == "block_quantize":
-        out = _block_mean(pixels, QUANT_BLOCK_PER_LEVEL * level)
+        out = _block_mean(stack, QUANT_BLOCK_PER_LEVEL * level)
     else:  # brightness_shift
-        out = pixels + rng.choice((-1.0, 1.0)) * BRIGHTNESS_PER_LEVEL * level
-    return np.clip(out, 0.0, 1.0)
+        shifts = [rng.choice((-1.0, 1.0)) * BRIGHTNESS_PER_LEVEL * level for rng in rngs]
+        out = stack + np.array(shifts)[:, None, None, None]
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def perturb(pixels: np.ndarray, spec: PerturbationSpec, seed: int) -> np.ndarray:
-    """Apply the distortion(s) described by the spec, deterministically for
-    a fixed seed. mix_count > 1 composes that many distinct kinds in a
-    seeded order. Image shape is never changed."""
-    rng = _rng(seed, "perturb")
-    if spec.mix_count > 1:
-        kinds = [PERTURBATION_KINDS[i] for i in
-                 rng.choice(len(PERTURBATION_KINDS), size=spec.mix_count, replace=False)]
-    else:
-        kinds = [spec.kind]
-    out = pixels
-    for kind in kinds:
-        level = int(rng.integers(1, 6)) if spec.level == "random" else int(spec.level)
-        out = _apply_kind(out, kind, level, rng)
-    return out
+def perturb(pixels: np.ndarray, spec: PerturbationSpec | Sequence[PerturbationSpec],
+            seed: int | Sequence[int]) -> np.ndarray:
+    """Apply the distortion(s) a :class:`PerturbationSpec` describes,
+    deterministically for a fixed seed. mix_count > 1 composes that many
+    distinct kinds in a seeded order; level 0 is the identity (a copy).
+    Image shape is never changed.
+
+    ``pixels`` is one (H, W, C) frame with one spec and one int seed, or
+    an (N, H, W, C) stack with a sequence of N specs and N seeds, one of
+    each per frame. Every frame draws only from its own seed's generator,
+    so its output does not depend on the rest of the stack: a single frame
+    is the stack of one, bit for bit. At each composition step the frames
+    are grouped by (kind, level), and each group is distorted as one stack.
+    """
+    single = pixels.ndim == 3
+    specs, seeds = ([spec], [seed]) if single else (list(spec), list(seed))
+    stack = pixels[None] if single else pixels
+    if not len(specs) == len(seeds) == len(stack):
+        raise ValueError(f"{len(stack)} frames need as many specs and seeds, "
+                         f"got {len(specs)} and {len(seeds)}")
+    rngs: list[np.random.Generator | None] = [None] * len(stack)
+
+    def rng(i: int) -> np.random.Generator:
+        """Frame i's generator, built on its first draw: blur and quantize
+        at a fixed level never draw."""
+        if rngs[i] is None:
+            rngs[i] = _rng(seeds[i], "perturb")
+        return rngs[i]
+
+    kinds = [[PERTURBATION_KINDS[k] for k in
+              rng(i).choice(len(PERTURBATION_KINDS), size=s.mix_count, replace=False)]
+             if s.mix_count > 1 else [s.kind] for i, s in enumerate(specs)]
+    out = stack  # copied before the first write into it
+    for step in range(max(map(len, kinds), default=0)):
+        groups: dict[tuple[str, int], list[int]] = {}
+        for i, (s, steps) in enumerate(zip(specs, kinds)):
+            if step < len(steps):
+                level = int(rng(i).integers(1, 6)) if s.level == "random" else int(s.level)
+                if level:
+                    groups.setdefault((steps[step], level), []).append(i)
+        for (kind, level), idx in groups.items():
+            if len(idx) == len(out):  # every frame, in order
+                out = _apply_kind(out, kind, level, map(rng, idx))
+                continue
+            moved = _apply_kind(out[idx], kind, level, map(rng, idx))
+            # noise and brightness lift a float32 frame to float64, as alone
+            out = out.astype(np.result_type(out, moved), copy=out is stack)
+            out[idx] = moved
+    if out is stack:  # every frame at level 0
+        out = stack.copy()
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

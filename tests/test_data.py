@@ -324,6 +324,25 @@ class TestPerturb:
                 assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes(), block
 
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (30, 28, 3), (17, 33, 1), (5, 7, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_block_mean_over_a_stack_matches_each_frame(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        for block in (*range(1, 13), 40):
+            stack = (rng.random((5, *shape)) * 1e3).astype(dtype)
+            got = data._block_mean(stack, block)
+            assert got.dtype == dtype and got.shape == stack.shape
+            for frame, out in zip(stack, got):
+                assert out.tobytes() == data._block_mean(frame, block).tobytes(), block
+
+    def test_stack_needs_one_spec_and_one_seed_per_frame(self, image):
+        stack = np.stack([image, image])
+        spec = PerturbationSpec("gaussian_noise", 1)
+        with pytest.raises(ValueError):
+            perturb(stack, [spec], [0, 1])
+        with pytest.raises(ValueError):
+            perturb(stack, [spec, spec], [0])
+
     def test_higher_levels_distort_more(self, image):
         d1 = np.abs(perturb(image, PerturbationSpec("gaussian_noise", 1), 3) - image).mean()
         d5 = np.abs(perturb(image, PerturbationSpec("gaussian_noise", 5), 3) - image).mean()
@@ -533,6 +552,44 @@ class TestPerturbationPin:
                     assert out.shape == frame.shape and out.dtype == np.float64
                     digest.update(out.tobytes())
         assert digest.hexdigest() == self.PINNED
+
+
+    # A stack is compared with its frames perturbed one at a time, the
+    # path whose bits the pin above holds.
+    SHAPES = {"32x32x1": (SPEC32, "A-p-000"),
+              "30x28x3": (DatasetSpec(height=30, width=28, channels=3), "A-p-001")}
+
+    @classmethod
+    def _stack(cls, shape, n):
+        spec, video_id = cls.SHAPES[shape]
+        return np.stack([gen_original(spec, video_id, f).pixels for f in range(n)])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_stack_of_every_spec_equals_each_frame_alone(self, shape):
+        # every spec of the pin, shuffled across the frames, each frame
+        # with a seed of its own
+        rng = np.random.default_rng(18)
+        specs = [self.SPECS[k] for k in rng.permutation(len(self.SPECS))]
+        seeds = [int(seed) for seed in rng.integers(0, 2**31, size=len(specs))]
+        stack = self._stack(shape, len(specs))
+        got = perturb(stack, specs, seeds)
+        assert got.shape == stack.shape and got.dtype == np.float64
+        for frame, spec, seed, out in zip(stack, specs, seeds, got):
+            assert out.tobytes() == perturb(frame, spec, seed).tobytes(), spec
+
+    @pytest.mark.parametrize("level", [0, 3, "random"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_stack_of_a_kind_per_frame_equals_each_frame_alone(self, level, shape):
+        # the shape of the report's "sing" and "rand" rows: one drawn kind
+        # per frame at one level, seeds in a run
+        stack = self._stack(shape, 64)
+        kinds = [PERTURBATION_KINDS[k] for k in
+                 np.random.default_rng(71).integers(0, len(PERTURBATION_KINDS), size=len(stack))]
+        specs = [PerturbationSpec(kind, level) for kind in kinds]
+        seeds = [5 * 9_973 + i for i in range(len(stack))]
+        got = perturb(stack, specs, seeds)
+        for frame, spec, seed, out in zip(stack, specs, seeds, got):
+            assert out.tobytes() == perturb(frame, spec, seed).tobytes(), spec
 
 
 class TestManifest:
