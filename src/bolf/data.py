@@ -380,8 +380,9 @@ def _block_mean(pixels: np.ndarray, block: int) -> np.ndarray:
             r, q = band.shape[-3] // nr, band.shape[-2] // nc
             tiles = np.moveaxis(band.reshape(*lead, r, nr, q, nc, c), -4, -3)
             means = tiles.reshape(*lead, r, q, nr * nc, c).sum(axis=-2) / (nr * nc)
-            # a view of the band's tiles, so each mean spreads over its own
-            out_tiles = out[..., rows, cols, :].reshape(*lead, r, nr, q, nc, c, copy=False)
+            # splitting axes only, so this is a view of out's band: each
+            # mean is written over its own tile, with no repeated copy
+            out_tiles = out[..., rows, cols, :].reshape(*lead, r, nr, q, nc, c)
             out_tiles[...] = means[..., :, None, :, None, :]
     return out
 
