@@ -553,7 +553,6 @@ class TestPerturbationPin:
                     digest.update(out.tobytes())
         assert digest.hexdigest() == self.PINNED
 
-
     # A stack is compared with its frames perturbed one at a time, the
     # path whose bits the pin above holds.
     SHAPES = {"32x32x1": (SPEC32, "A-p-000"),
