@@ -242,14 +242,16 @@ def cmd_rollout(cfg: RunConfig, image_path: str) -> int:
     weights = attention_rollout(attn)
     pixel_map = heatmap_to_image(weights, cfg.model)
 
-    span = pixel_map.max() - pixel_map.min()
+    low = pixel_map.min()
+    span = pixel_map.max() - low
     if span > 1e-12:
-        heat = (pixel_map - pixel_map.min()) / span
+        heat = (pixel_map - low) / span
     else:
         heat = np.zeros_like(pixel_map)
 
     out_dir = Path(cfg.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    if not os.path.isdir(out_dir):  # one stat, where makedirs tries a mkdir
+        os.makedirs(out_dir, exist_ok=True)
     stem = Path(image_path).stem
     heat_path = out_dir / f"{stem}-rollout.pgm"
     write_ppm(heat_path, heat[:, :, None])

@@ -11,12 +11,13 @@ takes its input geometry from there, so the two can never disagree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import SPLITS, DatasetSpec
+from .data import SPLITS, DatasetSpec, read_if_exists
 from .model import ModelConfig
 from .train import TrainConfig
 
@@ -152,14 +153,26 @@ def load_config(path=None, overrides: list[str] | None = None,
     Precedence, lowest to highest: built-in defaults, config file, --seed
     (sets data.seed and train.seed) and --out, then explicit key=value
     overrides.
+
+    The file is opened and read once per call; a path with no file raises
+    "config file not found", and any other error reading it is a
+    ConfigError that names the path. The last config built is kept, keyed
+    on the merged key/value pairs, and a call that merges the same pairs
+    returns that same object: a RunConfig and its parts are frozen, and
+    :func:`from_pairs` is a pure function of the pairs. An invalid config
+    is never kept, so it raises on every call.
     """
     pairs: dict[str, str] = {}
     if path is not None:
         path = Path(path)
-        if not path.exists():
+        try:
+            blob = read_if_exists(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        if blob is None:
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = path.read_bytes().decode("utf-8")
+            text = blob.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         pairs.update(parse_text(text))
@@ -173,4 +186,9 @@ def load_config(path=None, overrides: list[str] | None = None,
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         pairs[key] = value
-    return from_pairs(pairs)
+    return _kept_config(tuple(pairs.items()))
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_config(items: tuple[tuple[str, str], ...]) -> RunConfig:
+    return from_pairs(dict(items))

@@ -25,9 +25,11 @@ The two properties the generators enforce by construction:
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import io
 import os
+import re
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -549,6 +551,26 @@ def write_file(path, payload) -> None:
             fh.truncate()  # at the file position: the bytes written so far
 
 
+# The errnos for which Path.exists() reports that there is no file
+_NO_FILE_ERRNOS = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+
+def read_if_exists(path: Path) -> bytes | None:
+    """The bytes of the file at ``path``, read once, or None where
+    ``path.exists()`` would be False: nothing there, a parent that is not
+    a directory, a symlink loop, or a path no file can have (one with a
+    NUL byte). Any other OSError, such as a directory or a file that may
+    not be read, propagates."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        if exc.errno in _NO_FILE_ERRNOS:
+            return None
+        raise
+    except ValueError:
+        return None
+
+
 def write_csv(path, rows) -> None:
     """Write ``rows``, the header first, as UTF-8 CSV with "\\n" line ends."""
     text = io.StringIO()
@@ -571,24 +593,15 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     write_file(path, magic + b"\n" + f"{w} {h}\n255\n".encode("ascii") + payload.tobytes())
 
 
-def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos:pos + 1] not in b" \t\r\n":
-        pos += 1
-    if start == pos:
-        raise FormatError("truncated header")
-    return data[start:pos], pos
+# The header after the magic, in one match: three tokens, each after a
+# run of separators (b" \t\r\n") and '#' comments, a comment running to
+# the next b"\n". A token may not start with '#', which would have begun
+# a comment, and each comment and token must run to its end, so that no
+# backtracking splits them: a match either finds the three tokens a
+# left-to-right walk finds or fails, which the walk calls a truncated
+# header. '#' inside a token is part of it.
+_HEADER = re.compile(
+    rb"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*([^ \t\r\n#][^ \t\r\n]*)(?![^ \t\r\n])" * 3)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -606,25 +619,24 @@ def read_ppm(path) -> np.ndarray:
     if magic not in (b"P6", b"P5"):
         raise FormatError(f"unsupported magic {magic!r}; only binary P6/P5 are accepted")
     channels = 3 if magic == b"P6" else 1
-    pos = 2
-    w_tok, pos = _read_header_token(data, pos)
-    h_tok, pos = _read_header_token(data, pos)
-    max_tok, pos = _read_header_token(data, pos)
+    header = _HEADER.match(data, 2)
+    if header is None:
+        raise FormatError("truncated header")
     try:
-        w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+        w, h, maxval = map(int, header.groups())
     except ValueError:
         raise FormatError("non-numeric header fields") from None
     if w < 1 or h < 1:
         raise FormatError(f"bad dimensions {w}x{h}")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}; only 255 is accepted")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end() + 1  # single whitespace byte after maxval
     expected = h * w * channels
-    payload = data[pos:]
-    if len(payload) != expected:
-        problem = "truncated" if len(payload) < expected else "oversized"
-        raise FormatError(f"{problem} payload: expected {expected} bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+    got = max(len(data) - pos, 0)
+    if got != expected:
+        problem = "truncated" if got < expected else "oversized"
+        raise FormatError(f"{problem} payload: expected {expected} bytes, got {got}")
+    arr = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(h, w, channels)
     return arr.astype(np.float64) / 255.0
 
 

@@ -158,9 +158,24 @@ def _tape_stack() -> list:
 
 
 def _record(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
-    stack = _tape_stack()
-    if stack and out.requires_grad:
-        stack[-1]._nodes.append((out, adjoint))
+    if out.requires_grad:
+        stack = _tape_stack()
+        if stack:
+            stack[-1]._nodes.append((out, adjoint))
+
+
+def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
+    """A primitive's output tensor. Its numpy result is already a float
+    array in its operands' dtype, so it skips Tensor()'s conversion;
+    only a numpy scalar, which a ufunc gives for 0-d operands, still
+    goes through Tensor() to become a 0-d array."""
+    if type(data) is not np.ndarray:
+        return Tensor(data, requires_grad)
+    out = object.__new__(Tensor)
+    out.data = data
+    out.requires_grad = requires_grad
+    out.grad = None
+    return out
 
 
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
@@ -185,7 +200,9 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     """Wrap both operands of a binary op; a constant that meets a tensor
     takes its dtype, so a float32 operand is never promoted by one."""
     if isinstance(a, Tensor):
-        return a, b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
+        if isinstance(b, Tensor):
+            return a, b
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
     if isinstance(b, Tensor):
         return Tensor(np.asarray(a, dtype=b.data.dtype)), b
     return Tensor(a), Tensor(b)
@@ -213,7 +230,7 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatch(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
+    out = _result(data, a.requires_grad or b.requires_grad)
 
     def adjoint(g):
         if a.requires_grad:
@@ -240,7 +257,7 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatch(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
+    out = _result(data, a.requires_grad or b.requires_grad)
 
     def adjoint(g):
         if a.requires_grad:
@@ -266,31 +283,33 @@ def matmul(a, b) -> Tensor:
     product over all the stacked rows.
     """
     a, b = _operands(a, b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    flat = b.ndim == 2
+    ad, bd = a.data, b.data
+    ash, bsh = ad.shape, bd.shape
+    if len(ash) < 2 or len(bsh) < 2 or ash[-1] != bsh[-2]:
+        raise ShapeMismatch(f"matmul: incompatible shapes {ash} x {bsh}")
+    flat = len(bsh) == 2
     if flat:
-        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+        data = (ad.reshape(-1, ash[-1]) @ bd).reshape(ash[:-1] + bsh[-1:])
     else:
         try:
-            data = a.data @ b.data
+            data = ad @ bd
         except ValueError:
             raise ShapeMismatch(
-                f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
+                f"matmul: leading axes of {ash} and {bsh} do not broadcast") from None
+    out = _result(data, a.requires_grad or b.requires_grad)
 
     def adjoint(g):
         if flat:
             g2 = g.reshape(-1, g.shape[-1])
             if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.data.shape), fresh=True)
+                _accum(a, (g2 @ bd.T).reshape(ash), fresh=True)
             if b.requires_grad:
-                _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g2, fresh=True)
+                _accum(b, ad.reshape(-1, ash[-1]).T @ g2, fresh=True)
             return
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), fresh=True)
+            _accum(a, _unbroadcast(g @ bd.swapaxes(-1, -2), ash), fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), fresh=True)
+            _accum(b, _unbroadcast(ad.swapaxes(-1, -2) @ g, bsh), fresh=True)
 
     _record(out, adjoint)
     return out
@@ -300,18 +319,19 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     """Permute axes; by default swap the last two (a matrix transpose on
     every matrix of a stack)."""
     a = _wrap(a)
+    ndim = a.data.ndim
     if axes is None:
-        if a.ndim < 2:
+        if ndim < 2:
             raise ShapeMismatch(f"transpose needs at least 2 axes, got shape {a.shape}")
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeMismatch(f"transpose: axes {axes} do not permute shape {a.shape}")
-    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    out = Tensor(a.data.transpose(axes), a.requires_grad)
+        axes = (*range(ndim - 2), ndim - 1, ndim - 2)
+    else:
+        axes = tuple(axes)
+        if sorted(axes) != list(range(ndim)):
+            raise ShapeMismatch(f"transpose: axes {axes} do not permute shape {a.shape}")
+    out = _result(a.data.transpose(axes), a.requires_grad)
 
     def adjoint(g):
-        _accum(a, g.transpose(inverse))
+        _accum(a, g.transpose(sorted(range(ndim), key=axes.__getitem__)))
 
     _record(out, adjoint)
     return out
@@ -320,7 +340,7 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _wrap(a)
     shape = tuple(shape)
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
+    out = _result(a.data.reshape(shape), a.requires_grad)
 
     def adjoint(g):
         _accum(a, g.reshape(a.data.shape))
@@ -340,7 +360,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = Tensor(a.data[index].copy(), a.requires_grad)
+    out = _result(a.data[index].copy(), a.requires_grad)
 
     def adjoint(g):
         buf = np.zeros_like(a.data)
@@ -359,7 +379,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as e:
         raise ShapeMismatch(f"concat: {e}") from None
-    out = Tensor(data, any(t.requires_grad for t in tensors))
+    out = _result(data, any(t.requires_grad for t in tensors))
     sizes = [t.shape[axis] for t in tensors]
 
     def adjoint(g):
@@ -387,7 +407,7 @@ def take(a, index: int) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data.sum(), a.requires_grad)
+    out = Tensor(a.data.sum(), a.requires_grad)  # a numpy scalar
 
     def adjoint(g):
         _accum(a, np.full(a.data.shape, float(g), dtype=a.data.dtype), fresh=True)
@@ -409,7 +429,7 @@ def exp(a) -> Tensor:
         data = np.exp(a.data)
     if not np.all(np.isfinite(data)):
         raise NumericError("exp overflowed to a non-finite value")
-    out = Tensor(data, a.requires_grad)
+    out = _result(data, a.requires_grad)
 
     def adjoint(g):
         _accum(a, g * data, fresh=True)
@@ -422,7 +442,7 @@ def log(a) -> Tensor:
     a = _wrap(a)
     if np.any(a.data <= 0.0):
         raise NumericError("log of a non-positive value")
-    out = Tensor(np.log(a.data), a.requires_grad)
+    out = _result(np.log(a.data), a.requires_grad)
 
     def adjoint(g):
         _accum(a, g / a.data, fresh=True)
@@ -449,7 +469,7 @@ def softmax_rows(x) -> Tensor:
     y = np.subtract(x.data, np.maximum.reduce(x.data, axis=-1, keepdims=True))
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
-    out = Tensor(y, x.requires_grad)
+    out = _result(y, x.requires_grad)
 
     def adjoint(g):
         # d/dx of softmax: y * (g - sum_j g_j y_j) per row
@@ -491,7 +511,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     np.multiply(centered, inv, out=xhat)
-    out = Tensor(gamma.data * xhat + beta.data,
+    out = _result(gamma.data * xhat + beta.data,
                  x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def adjoint(g):
@@ -521,7 +541,7 @@ def gelu(x) -> Tensor:
     """Gaussian-error linear unit, exact erf form 0.5*x*(1 + erf(x/sqrt(2)))."""
     x = _wrap(x)
     cdf = 0.5 * (1.0 + erf(x.data / _SQRT_2))
-    out = Tensor(x.data * cdf, x.requires_grad)
+    out = _result(x.data * cdf, x.requires_grad)
 
     def adjoint(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import write_file
+from .data import read_if_exists, write_file
 
 MAGIC = b"BOLF"
 VERSION = 1
@@ -54,11 +54,14 @@ def save_weights(path, named: dict[str, np.ndarray]) -> None:
 
 
 def read_weights(path) -> bytes:
-    """The raw bytes of the weights file at ``path``."""
+    """The raw bytes of the weights file at ``path``, opened and read once.
+    Raises WeightsError if there is no file there; any other OSError,
+    such as a directory at ``path``, propagates."""
     path = Path(path)
-    if not path.exists():
+    data = read_if_exists(path)
+    if data is None:
         raise WeightsError(f"weights file not found: {path}")
-    return path.read_bytes()
+    return data
 
 
 def load_weights(path, data: bytes | None = None) -> dict[str, np.ndarray]:

@@ -281,6 +281,16 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "no.cfg")]) == EXIT_CONFIG
 
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["eval", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: cannot read config file {tmp_path}: Is a directory\n"
+
+    def test_nul_byte_in_config_path(self, tmp_path, capsys):
+        path = f"{tmp_path}/ru\0n.cfg"
+        assert main(["eval", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config file not found: {path}\n"
+
     def test_non_finite_float_override(self, ws, tmp_path, capsys):
         weights = tmp_path / "w.bolf"
         assert main(["train", "--config", ws["cfg"], "--out", str(ws["out"]),
@@ -393,6 +403,18 @@ class TestExitCodes:
         assert main(["rollout", str(image), "--config", ws["cfg"],
                      "--out", str(tmp_path),
                      "--set", "run.weights_in=/definitely/missing.bolf"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("weights", ["/definitely/mis\0sing.bolf", "{tmp_path}"])
+    def test_weights_path_with_nul_byte_or_directory(self, ws, tmp_path, capsys, weights):
+        weights = weights.format(tmp_path=tmp_path)
+        image = next((ws["out"] / "images" / "test").glob("*.pgm"))
+        assert main(["rollout", str(image), "--config", ws["cfg"], "--out", str(tmp_path),
+                     "--set", f"run.weights_in={weights}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        if "\0" in weights:
+            assert err == f"data error: weights file not found: {weights}\n"
+        else:
+            assert err == f"data error: [Errno 21] Is a directory: '{weights}'\n"
 
     def test_non_utf8_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -201,6 +201,81 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not UTF-8"):
             load_config(path)
 
+    def test_directory_is_config_error_naming_it(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            load_config(tmp_path)
+        assert str(info.value) == f"cannot read config file {tmp_path}: Is a directory"
+
+    def test_nul_byte_in_path_is_not_found(self, tmp_path):
+        path = f"{tmp_path}/ru\0n.cfg"
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"config file not found: {path}"
+
+    def test_path_through_a_file_is_not_found(self, tmp_path):
+        (tmp_path / "run.cfg").write_text("train.epochs = 3\n")
+        path = tmp_path / "run.cfg" / "inner.cfg"
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"config file not found: {path}"
+
+
+class TestKeptConfig:
+    """load_config keeps the last RunConfig it built, keyed on the merged
+    key/value pairs: the same pairs give the same object, other pairs a
+    fresh config."""
+
+    @staticmethod
+    def _write(tmp_path, text: str):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return path
+
+    def test_same_inputs_give_the_same_object(self, tmp_path):
+        path = self._write(tmp_path, "train.epochs = 3\n")
+        first = load_config(path, ["model.dim=32"], 5, "out")
+        assert load_config(path, ["model.dim=32"], 5, "out") is first
+        assert load_config() is load_config()
+
+    def test_a_changed_file_byte_gives_a_fresh_config(self, tmp_path):
+        path = self._write(tmp_path, "train.epochs = 3\n")
+        first = load_config(path)
+        path.write_text("train.epochs = 4\n")
+        second = load_config(path)
+        assert second is not first
+        assert second == from_pairs({"train.epochs": "4"})
+        assert second.train.epochs == 4
+
+    @pytest.mark.parametrize("change, pairs", [
+        ({"overrides": ["model.dim=32"]},
+         {"train.epochs": "3", "data.seed": "5", "train.seed": "5", "run.out_dir": "out",
+          "model.dim": "32"}),
+        ({"seed": 6},
+         {"train.epochs": "3", "data.seed": "6", "train.seed": "6", "run.out_dir": "out"}),
+        ({"out_dir": "elsewhere"},
+         {"train.epochs": "3", "data.seed": "5", "train.seed": "5",
+          "run.out_dir": "elsewhere"}),
+    ])
+    def test_a_changed_flag_gives_a_fresh_config(self, tmp_path, change, pairs):
+        path = self._write(tmp_path, "train.epochs = 3\n")
+        inputs = {"overrides": None, "seed": 5, "out_dir": "out"}
+        first = load_config(path, **inputs)
+        second = load_config(path, **{**inputs, **change})
+        assert second is not first
+        assert second == from_pairs(pairs)
+        assert second != first
+
+    def test_an_invalid_config_raises_on_every_call(self, tmp_path):
+        kept = load_config(None, ["train.epochs=3"])
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="run.level"):
+                load_config(None, ["train.epochs=3", "run.level=9"])
+        path = self._write(tmp_path, "train.epochs = 3\nrun.level = 9\n")
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="run.level"):
+                load_config(path)
+        assert load_config(None, ["train.epochs=3"]) is kept
+
 
 # config-like text: known or arbitrary keys, with numbers or arbitrary text
 _config_lines = st.lists(

@@ -155,6 +155,158 @@ class TestNetpbmIO:
         self._read_or_reject(path, bytes(flipped))
 
 
+def _reference_header_token(blob: bytes, pos: int) -> tuple[bytes, int]:
+    """The byte-by-byte header walk read_ppm once made, kept as the
+    reference for its one-pass header parse."""
+    n = len(blob)
+    while pos < n:
+        ch = blob[pos:pos + 1]
+        if ch in b" \t\r\n":
+            pos += 1
+        elif ch == b"#":
+            while pos < n and blob[pos:pos + 1] != b"\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and blob[pos:pos + 1] not in b" \t\r\n":
+        pos += 1
+    if start == pos:
+        raise FormatError("truncated header")
+    return blob[start:pos], pos
+
+
+def _reference_read_ppm(blob: bytes) -> np.ndarray:
+    """read_ppm as the token walk decoded a file's bytes."""
+    magic = blob[:2]
+    if magic not in (b"P6", b"P5"):
+        raise FormatError(f"unsupported magic {magic!r}; only binary P6/P5 are accepted")
+    channels = 3 if magic == b"P6" else 1
+    w_tok, pos = _reference_header_token(blob, 2)
+    h_tok, pos = _reference_header_token(blob, pos)
+    max_tok, pos = _reference_header_token(blob, pos)
+    try:
+        w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+    except ValueError:
+        raise FormatError("non-numeric header fields") from None
+    if w < 1 or h < 1:
+        raise FormatError(f"bad dimensions {w}x{h}")
+    if maxval != 255:
+        raise FormatError(f"unsupported maxval {maxval}; only 255 is accepted")
+    pos += 1
+    expected = h * w * channels
+    payload = blob[pos:]
+    if len(payload) != expected:
+        problem = "truncated" if len(payload) < expected else "oversized"
+        raise FormatError(f"{problem} payload: expected {expected} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels) / 255.0
+
+
+_SEPARATORS = st.sampled_from([b" ", b"\t", b"\r", b"\n"])
+_COMMENTS = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+# separators, comments and what is neither: b"\f" and b"\v" are whitespace
+# to int() but not header separators, so they join the token they touch,
+# and a comment without its b"\n" runs on over what follows it
+_GAP_PIECES = st.one_of(_SEPARATORS, _COMMENTS, st.sampled_from([b"\f", b"\v"]),
+                        st.binary(max_size=4).map(lambda b: b"#" + b))
+# a gap that starts with a separator, so that a comment in it starts
+# where a token may start
+_CLEAN_GAPS = st.tuples(_SEPARATORS, st.lists(st.one_of(_SEPARATORS, _COMMENTS),
+                                              max_size=3)).map(lambda t: t[0] + b"".join(t[1]))
+# any gap, which may also glue a comment or a b"\f" to the token before it
+_GAPS = st.one_of(
+    st.tuples(_SEPARATORS, st.lists(_GAP_PIECES, max_size=3)).map(
+        lambda t: t[0] + b"".join(t[1])),
+    st.lists(_GAP_PIECES, max_size=3).map(b"".join))
+
+
+@st.composite
+def _number_token(draw, values, signs):
+    """A decimal token int() reads as one of ``values``: a sign from
+    ``signs``, leading zeros, maybe an underscore between digits, and
+    maybe a b"\f" or b"\v" before or after it."""
+    digits = str(draw(values))
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    number = (draw(st.sampled_from(signs)) + "0" * draw(st.integers(0, 2)) + digits).encode()
+    pad = st.sampled_from([b"", b"", b"\f", b"\v"])
+    return draw(pad) + number + draw(pad)
+
+
+@st.composite
+def _netpbm_files(draw, well_formed: bool):
+    """A P5 or P6 file: three header tokens with a gap before each, one
+    gap after them, and a payload. A well-formed file has clean gaps, a
+    valid header, one separator before the payload and the declared
+    number of payload bytes. Otherwise any gap, sign, size and maxval may
+    be drawn, the payload may be a byte short or long, and the file may be
+    cut anywhere."""
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    if well_formed:
+        dims, maxvals, signs = st.integers(1, 3), st.just(255), ["", "+"]
+        gaps, last_gap = _CLEAN_GAPS, _SEPARATORS
+    else:
+        dims, maxvals, signs = st.integers(0, 3), st.sampled_from([255, 0, 65535]), ["", "+", "-"]
+        gaps, last_gap = _GAPS, st.one_of(_SEPARATORS, _GAPS)
+    w = draw(_number_token(dims, signs))
+    h = draw(_number_token(dims, signs))
+    maxval = draw(_number_token(maxvals, signs))
+    blob = b"".join([magic, draw(gaps), w, draw(gaps), h, draw(gaps), maxval, draw(last_gap)])
+    size = int(w) * int(h) * (3 if magic == b"P6" else 1)
+    if not well_formed:
+        size = max(size + draw(st.sampled_from([0, -1, 1])), 0)
+    blob += draw(st.binary(min_size=size, max_size=size))
+    if not well_formed and draw(st.booleans()):
+        blob = blob[:draw(st.integers(0, len(blob)))]
+    return blob
+
+
+class TestHeaderParse:
+    """read_ppm's one-pass header parse against the token walk it replaced:
+    each file gives the walk's pixels or the walk's FormatError message."""
+
+    @staticmethod
+    def _agrees(path, blob: bytes) -> None:
+        path.write_bytes(blob)
+        try:
+            want = _reference_read_ppm(blob)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read_ppm(path)
+            assert str(got.value) == str(exc)
+            return
+        pixels = read_ppm(path)
+        assert pixels.dtype == want.dtype and pixels.shape == want.shape
+        assert np.array_equal(pixels, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=_netpbm_files(well_formed=True))
+    def test_well_formed_headers_decode_as_the_token_walk(self, tmp_path_factory, blob):
+        assert _reference_read_ppm(blob).size >= 1
+        self._agrees(tmp_path_factory.getbasetemp() / "header.ppm", blob)
+
+    @settings(max_examples=400, deadline=None)
+    @given(blob=_netpbm_files(well_formed=False))
+    def test_generated_headers_match_the_token_walk(self, tmp_path_factory, blob):
+        self._agrees(tmp_path_factory.getbasetemp() / "header.ppm", blob)
+
+    @pytest.mark.parametrize("blob", [
+        b"P6 1 1 255 " + bytes(3),             # spaces only
+        b"P61 1 255\n" + bytes(3),             # no gap after the magic
+        b"P5#c\n1\n#c\n1#c\n255\n" + bytes(1),  # '#' inside the height token
+        b"P5 1 1 255#c\n" + bytes(1),          # '#' inside the maxval token
+        b"P5 1 1 #c",                          # a comment where maxval should be
+        b"P5 1 1 255",                         # no byte after maxval
+        b"P5 \f1 1\v 255\n" + bytes(1),        # \f and \v inside tokens
+        b"P5 +1 0_1 0255\n" + bytes(1),        # sign, underscore, leading zero
+        b"P5 -1 1 255\n",                      # negative width
+        b"P5 1 1 255\r\n" + bytes(1),          # the payload starts at \n
+    ])
+    def test_edge_headers_match_the_token_walk(self, tmp_path, blob):
+        self._agrees(tmp_path / "edge.pgm", blob)
+
+
 class TestOriginals:
     def test_regeneration_is_bit_identical(self):
         a = gen_original(SPEC32, "A-test-000", 3)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+from bolf.model import ModelConfig, ModelParams, forward, init_params
 from bolf.tensor import (
     DTYPE,
     LN_EPS,
@@ -67,6 +68,15 @@ class TestTensorBasics:
     def test_grad_starts_empty(self):
         t = Tensor([1.0], requires_grad=True)
         assert t.grad is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ops_on_0d_tensors_hold_0d_arrays(self, dtype):
+        # a ufunc on 0-d operands gives a numpy scalar; a tensor holds an array
+        a, b = Tensor(np.array(2.0, dtype)), Tensor(np.array(3.0, dtype))
+        for out in (add(a, b), mul(a, b), sub(a, b), neg(a), exp(a), log(a), gelu(a),
+                    sum_all(a), mean_all(a), reshape(Tensor(np.ones(1, dtype)), ())):
+            assert type(out.data) is np.ndarray
+            assert out.data.shape == () and out.data.dtype == dtype
 
     def test_item_scalar(self):
         assert Tensor(3.5).item() == 3.5
@@ -193,6 +203,29 @@ class TestTapeMechanics:
         with Tape() as tape:
             mul(a, a)
         assert len(tape) == 0
+
+    def test_eval_forward_records_nothing_on_an_open_tape(self):
+        # the model as bolf eval and rollout load it: no tensor needs a gradient
+        cfg = ModelConfig()
+        trained = init_params(cfg, seed=0)
+        params = ModelParams.from_arrays(cfg, {name: t.data for name, t in trained.named()},
+                                         requires_grad=False)
+        images = np.random.default_rng(0).random((8, cfg.height, cfg.width, cfg.channels))
+        with Tape() as tape:
+            forward(images, params, cfg)
+        assert len(tape) == 0
+
+    def test_training_step_records_74_ops(self):
+        from bolf.train import cross_entropy  # bolf.train imports this module
+
+        cfg = ModelConfig()  # two blocks, with dropout
+        params = init_params(cfg, seed=0)
+        images = np.random.default_rng(0).random((8, cfg.height, cfg.width, cfg.channels))
+        with Tape() as tape:
+            logits, _ = forward(images, params, cfg, train=True,
+                                rng=np.random.default_rng(1))
+            cross_entropy(logits, np.array([0, 1] * 4))
+        assert len(tape) == 74
 
 
 class TestBroadcasting:
@@ -401,6 +434,33 @@ class TestStructuralOps:
             transpose(Tensor([1.0, 2.0]))
         with pytest.raises(ShapeMismatch):
             transpose(Tensor(a), axes=(0, 0))
+
+    @pytest.mark.parametrize("ndim", [3, 4])
+    def test_transpose_every_permutation_matches_numpy(self, ndim):
+        rng = np.random.default_rng(ndim)
+        a = rng.normal(size=(2, 3, 4, 5)[:ndim])
+        for axes in itertools.permutations(range(ndim)):
+            x = Tensor(a, requires_grad=True)
+            g = rng.normal(size=tuple(a.shape[i] for i in axes))
+            with Tape() as tape:
+                out = transpose(x, axes)
+                loss = sum_all(mul(out, g))
+            backward(loss, tape)
+            assert out.data.shape == a.transpose(axes).shape
+            assert np.array_equal(out.data, a.transpose(axes))
+            assert np.array_equal(x.grad, g.transpose(np.argsort(axes)))
+
+    @pytest.mark.parametrize("axes", [(0, 0, 1), (1, 2, 1), (0, -1, 1), (-3, -2, -1),
+                                      (0, 1), (0, 1, 2, 3), (), (0, 1, 3)])
+    def test_transpose_rejects_what_does_not_permute_the_axes(self, axes):
+        a = Tensor(np.zeros((2, 3, 4)))
+        message = f"transpose: axes {axes} do not permute shape (2, 3, 4)"
+        with pytest.raises(ShapeMismatch) as info:
+            transpose(a, axes)
+        assert str(info.value) == message
+        with pytest.raises(ShapeMismatch) as info:
+            transpose(a, list(axes))
+        assert str(info.value) == message
 
     def test_transpose_default_swaps_last_two_axes(self):
         a = np.arange(24.0).reshape(2, 3, 4)

@@ -17,6 +17,7 @@ from bolf.weights import (
     VERSION,
     WeightsError,
     load_weights,
+    read_weights,
     save_weights,
 )
 
@@ -229,6 +230,17 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(WeightsError, match="not found"):
             load_weights(tmp_path / "ghost.bolf")
+
+    def test_nul_byte_in_path_is_not_found(self, tmp_path):
+        path = f"{tmp_path}/gh\0st.bolf"
+        with pytest.raises(WeightsError) as info:
+            read_weights(path)
+        assert str(info.value) == f"weights file not found: {path}"
+
+    def test_directory_is_an_os_error(self, tmp_path):
+        # not "not found": the CLI reports it as a data error
+        with pytest.raises(IsADirectoryError):
+            read_weights(tmp_path)
 
     def test_flipped_payload_byte(self, path):
         blob = bytearray(path.read_bytes())
