@@ -199,7 +199,8 @@ def _reference_read_ppm(blob: bytes) -> np.ndarray:
     if len(payload) != expected:
         problem = "truncated" if len(payload) < expected else "oversized"
         raise FormatError(f"{problem} payload: expected {expected} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels) / 255.0
+    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+    return arr.astype(np.float64) / 255.0
 
 
 _SEPARATORS = st.sampled_from([b" ", b"\t", b"\r", b"\n"])
