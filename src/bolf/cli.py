@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -58,16 +57,9 @@ HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
 _OTHER_FAMILY = {"A": "B", "B": "A"}
 
 
-def _fmt(value) -> str:
-    """CSV cell: repr for floats (round-trips exactly)."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, columns, rows) -> None:
-    os.makedirs(path.parent, exist_ok=True)
-    write_csv(path, [columns, *([_fmt(row[col]) for col in columns] for row in rows)])
+    # csv writes a float as its repr, which round-trips exactly
+    write_csv(path, [columns, *([row[col] for col in columns] for row in rows)])
 
 
 def _manifest_path(cfg: RunConfig) -> Path:
@@ -138,7 +130,6 @@ def cmd_train(cfg: RunConfig) -> int:
     params, history = train(params, splits, cfg.train, cfg.model)
 
     weights_path = cfg.weights_out_path()
-    os.makedirs(weights_path.parent, exist_ok=True)
     save_weights(weights_path, {name: t.data for name, t in params.named()})
     # the trained tensors hold the optimizer's parameter and gradient
     # buffers; the closing metrics below come from the weights file
@@ -250,8 +241,6 @@ def cmd_rollout(cfg: RunConfig, image_path: str) -> int:
         heat = np.zeros_like(pixel_map)
 
     out_dir = Path(cfg.out_dir)
-    if not os.path.isdir(out_dir):  # one stat, where makedirs tries a mkdir
-        os.makedirs(out_dir, exist_ok=True)
     stem = Path(image_path).stem
     heat_path = out_dir / f"{stem}-rollout.pgm"
     write_ppm(heat_path, heat[:, :, None])

@@ -519,8 +519,14 @@ def build_dataset(spec: DatasetSpec) -> DatasetSplits:
 # ---------------------------------------------------------------------------
 
 def _open_keeping_contents(path, flags: int) -> int:
-    # open()'s own flags and mode, less O_TRUNC
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+    # open()'s own flags and mode, less O_TRUNC; a missing parent
+    # directory is made, as os.makedirs makes it, and the open tried again
+    flags &= ~os.O_TRUNC
+    try:
+        return os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return os.open(path, flags, 0o666)
 
 
 def write_file(path, payload) -> None:
@@ -533,7 +539,8 @@ def write_file(path, payload) -> None:
     the file's blocks to disk on close, and that flush costs more than the
     write. Rewriting in place keeps the file's inode, so hard links see
     the new bytes, and a new file gets the bits ``open(path, "wb")`` would
-    give it (0o666 less the umask).
+    give it (0o666 less the umask). A missing parent directory is made,
+    with its own missing parents, as ``os.makedirs`` makes them.
 
     If a write fails partway, the file is cut to the bytes written so far
     and the error propagates: a failed rewrite leaves a prefix of the new
@@ -661,8 +668,6 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
     manifest_path = out_dir / "manifest.csv"
     rows = []
     for split in SPLITS:
-        split_dir = out_dir / "images" / split
-        os.makedirs(split_dir, exist_ok=True)
         for sample in splits.split(split):
             rel = f"images/{split}/{sample_filename(sample)}"
             write_ppm(out_dir / rel, sample.pixels)
@@ -684,7 +689,8 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    if not manifest_path.exists():
+    blob = read_if_exists(manifest_path)
+    if blob is None:
         raise FormatError(f"manifest not found: {manifest_path}")
     loaded = {name: [] for name in SPLITS}
     for name in splits:
@@ -696,7 +702,7 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     frames_seen: set[tuple[str, int]] = set()
     first_image = None
     try:
-        text = manifest_path.read_bytes().decode("utf-8")
+        text = blob.decode("utf-8")
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except UnicodeDecodeError as exc:
         raise FormatError(f"manifest {manifest_path}: not UTF-8 text "

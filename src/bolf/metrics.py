@@ -69,15 +69,10 @@ def video_level(samples: list[ScoredSample]) -> list[ScoredSample]:
     conflicting labels is an error.
     """
     by_video: dict[str, list[ScoredSample]] = {}
-    order: list[str] = []
     for s in samples:
-        if s.video_id not in by_video:
-            by_video[s.video_id] = []
-            order.append(s.video_id)
-        by_video[s.video_id].append(s)
+        by_video.setdefault(s.video_id, []).append(s)
     out = []
-    for vid in order:
-        group = by_video[vid]
+    for vid, group in by_video.items():
         labels = {s.label for s in group}
         if len(labels) > 1:
             raise ValueError(f"video {vid!r} mixes labels {sorted(labels)}")

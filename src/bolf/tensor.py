@@ -13,8 +13,11 @@ backward passes before clearing grads sums their contributions.
 
 Thirteen primitives have hand-written adjoints: add, mul, matmul,
 transpose, reshape, narrow, concat, sum_all, exp, log, softmax_rows,
-layer_norm and gelu. Five more ops are compositions of them and record
-no adjoint of their own: sub, neg, take, mean_all and dropout.
+layer_norm and gelu. Each checks its inputs, computes, defines its
+adjoint, and hands both to one helper, ``_output``, which builds the
+output tensor and records it with the adjoint. Five more ops are
+compositions of them and record no adjoint of their own: sub, neg, take,
+mean_all and dropout.
 
 :func:`grad_check` is the independent oracle: central finite differences
 on a sampled subset of coordinates, compared against the tape's
@@ -157,24 +160,23 @@ def _tape_stack() -> list:
     return stack
 
 
-def _record(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
-    if out.requires_grad:
+def _output(data, requires_grad: bool, adjoint: Callable[[np.ndarray], None]) -> Tensor:
+    """A primitive's output tensor, recorded with its adjoint on the
+    innermost active tape when it requires a gradient. A numpy result is
+    already a float array in its operands' dtype, so it skips Tensor()'s
+    conversion; only a numpy scalar, which a reduction or a ufunc on 0-d
+    operands gives, still goes through Tensor() to become a 0-d array."""
+    if type(data) is np.ndarray:
+        out = object.__new__(Tensor)
+        out.data = data
+        out.requires_grad = requires_grad
+        out.grad = None
+    else:
+        out = Tensor(data, requires_grad)
+    if requires_grad:
         stack = _tape_stack()
         if stack:
             stack[-1]._nodes.append((out, adjoint))
-
-
-def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
-    """A primitive's output tensor. Its numpy result is already a float
-    array in its operands' dtype, so it skips Tensor()'s conversion;
-    only a numpy scalar, which a ufunc gives for 0-d operands, still
-    goes through Tensor() to become a 0-d array."""
-    if type(data) is not np.ndarray:
-        return Tensor(data, requires_grad)
-    out = object.__new__(Tensor)
-    out.data = data
-    out.requires_grad = requires_grad
-    out.grad = None
     return out
 
 
@@ -230,7 +232,6 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatch(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = _result(data, a.requires_grad or b.requires_grad)
 
     def adjoint(g):
         if a.requires_grad:
@@ -238,8 +239,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape))
 
-    _record(out, adjoint)
-    return out
+    return _output(data, a.requires_grad or b.requires_grad, adjoint)
 
 
 def sub(a, b) -> Tensor:
@@ -257,7 +257,6 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatch(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = _result(data, a.requires_grad or b.requires_grad)
 
     def adjoint(g):
         if a.requires_grad:
@@ -265,8 +264,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(data, a.requires_grad or b.requires_grad, adjoint)
 
 
 def neg(a) -> Tensor:
@@ -296,7 +294,6 @@ def matmul(a, b) -> Tensor:
         except ValueError:
             raise ShapeMismatch(
                 f"matmul: leading axes of {ash} and {bsh} do not broadcast") from None
-    out = _result(data, a.requires_grad or b.requires_grad)
 
     def adjoint(g):
         if flat:
@@ -311,8 +308,7 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(ad.swapaxes(-1, -2) @ g, bsh), fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(data, a.requires_grad or b.requires_grad, adjoint)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -328,25 +324,21 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
         axes = tuple(axes)
         if sorted(axes) != list(range(ndim)):
             raise ShapeMismatch(f"transpose: axes {axes} do not permute shape {a.shape}")
-    out = _result(a.data.transpose(axes), a.requires_grad)
 
     def adjoint(g):
         _accum(a, g.transpose(sorted(range(ndim), key=axes.__getitem__)))
 
-    _record(out, adjoint)
-    return out
+    return _output(a.data.transpose(axes), a.requires_grad, adjoint)
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _wrap(a)
     shape = tuple(shape)
-    out = _result(a.data.reshape(shape), a.requires_grad)
 
     def adjoint(g):
         _accum(a, g.reshape(a.data.shape))
 
-    _record(out, adjoint)
-    return out
+    return _output(a.data.reshape(shape), a.requires_grad, adjoint)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -360,15 +352,13 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = _result(a.data[index].copy(), a.requires_grad)
 
     def adjoint(g):
         buf = np.zeros_like(a.data)
         buf[index] = g
         _accum(a, buf, fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(a.data[index].copy(), a.requires_grad, adjoint)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -379,7 +369,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as e:
         raise ShapeMismatch(f"concat: {e}") from None
-    out = _result(data, any(t.requires_grad for t in tensors))
     sizes = [t.shape[axis] for t in tensors]
 
     def adjoint(g):
@@ -391,8 +380,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 _accum(t, g[tuple(index)])
             offset += n
 
-    _record(out, adjoint)
-    return out
+    return _output(data, any(t.requires_grad for t in tensors), adjoint)
 
 
 def take(a, index: int) -> Tensor:
@@ -407,13 +395,11 @@ def take(a, index: int) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data.sum(), a.requires_grad)  # a numpy scalar
 
     def adjoint(g):
         _accum(a, np.full(a.data.shape, float(g), dtype=a.data.dtype), fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(a.data.sum(), a.requires_grad, adjoint)  # a numpy scalar
 
 
 def mean_all(a) -> Tensor:
@@ -429,26 +415,22 @@ def exp(a) -> Tensor:
         data = np.exp(a.data)
     if not np.all(np.isfinite(data)):
         raise NumericError("exp overflowed to a non-finite value")
-    out = _result(data, a.requires_grad)
 
     def adjoint(g):
         _accum(a, g * data, fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(data, a.requires_grad, adjoint)
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
     if np.any(a.data <= 0.0):
         raise NumericError("log of a non-positive value")
-    out = _result(np.log(a.data), a.requires_grad)
 
     def adjoint(g):
         _accum(a, g / a.data, fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(np.log(a.data), a.requires_grad, adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +451,6 @@ def softmax_rows(x) -> Tensor:
     y = np.subtract(x.data, np.maximum.reduce(x.data, axis=-1, keepdims=True))
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
-    out = _result(y, x.requires_grad)
 
     def adjoint(g):
         # d/dx of softmax: y * (g - sum_j g_j y_j) per row
@@ -478,8 +459,7 @@ def softmax_rows(x) -> Tensor:
         dx *= y
         _accum(x, dx, fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(y, x.requires_grad, adjoint)
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
@@ -511,8 +491,6 @@ def layer_norm(x, gamma, beta) -> Tensor:
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     np.multiply(centered, inv, out=xhat)
-    out = _result(gamma.data * xhat + beta.data,
-                 x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def adjoint(g):
         if gamma.requires_grad:
@@ -533,22 +511,20 @@ def layer_norm(x, gamma, beta) -> Tensor:
             dxhat *= inv
             _accum(x, dxhat, fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(gamma.data * xhat + beta.data,
+                   x.requires_grad or gamma.requires_grad or beta.requires_grad, adjoint)
 
 
 def gelu(x) -> Tensor:
     """Gaussian-error linear unit, exact erf form 0.5*x*(1 + erf(x/sqrt(2)))."""
     x = _wrap(x)
     cdf = 0.5 * (1.0 + erf(x.data / _SQRT_2))
-    out = _result(x.data * cdf, x.requires_grad)
 
     def adjoint(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
         _accum(x, g * (cdf + x.data * pdf), fresh=True)
 
-    _record(out, adjoint)
-    return out
+    return _output(x.data * cdf, x.requires_grad, adjoint)
 
 
 def dropout(x, p: float, uniforms: np.ndarray | None) -> Tensor:

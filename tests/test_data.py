@@ -936,3 +936,29 @@ class TestManifest:
         path = self._write_row(tmp_path, "images/train/ghost.pgm,0,v,0,A,train")
         with pytest.raises((FormatError, OSError)):
             load_manifest(path)
+
+    def test_reads_once_without_an_exists_check(self, tiny_splits, tmp_path, monkeypatch,
+                                                 capsys):
+        manifest = write_dataset(tiny_splits, tmp_path / "c")
+        expected = load_manifest(manifest, ("val",))
+        missing = tmp_path / "nope" / "manifest.csv"
+        (tmp_path / "d" / "manifest.csv").mkdir(parents=True)
+
+        def no_exists(self, *args, **kwargs):
+            raise AssertionError(f"Path.exists({self}) called")
+
+        # undone on the way out, so that pytest's own reporting may call it
+        with monkeypatch.context() as patched:
+            patched.setattr(type(manifest), "exists", no_exists)
+            loaded = load_manifest(manifest, ("val",))
+            with pytest.raises(FormatError) as err:
+                load_manifest(missing)
+            # a manifest path that is a directory is a data error, as any OSError
+            with pytest.raises(IsADirectoryError):
+                load_manifest(tmp_path / "d" / "manifest.csv")
+            code = main(["train", "--out", str(tmp_path / "d")])
+        assert [(s.video_id, s.frame_idx) for s in loaded.val] == \
+               [(s.video_id, s.frame_idx) for s in expected.val]
+        assert str(err.value) == f"manifest not found: {missing}"
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: [Errno 21] Is a directory: ")

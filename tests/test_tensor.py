@@ -215,6 +215,47 @@ class TestTapeMechanics:
             forward(images, params, cfg)
         assert len(tape) == 0
 
+    # one call of each primitive; `t(shape)` makes one input tensor. A 0-d
+    # mul gives a numpy scalar, as sum_all does, not an array
+    _PRIMITIVE_CALLS = {
+        "add": lambda t: add(t((2, 3)), t((3,))),
+        "mul": lambda t: mul(t((2, 3)), t((2, 3))),
+        "mul_0d": lambda t: mul(t(()), t(())),
+        "matmul": lambda t: matmul(t((2, 3)), t((3, 4))),
+        "transpose": lambda t: transpose(t((2, 3))),
+        "reshape": lambda t: reshape(t((2, 3)), (3, 2)),
+        "narrow": lambda t: narrow(t((2, 3)), 1, 1, 2),
+        "concat": lambda t: concat([t((2, 3)), t((1, 3))]),
+        "sum_all": lambda t: sum_all(t((2, 3))),
+        "exp": lambda t: exp(t((2, 3))),
+        "log": lambda t: log(t((2, 3))),
+        "softmax_rows": lambda t: softmax_rows(t((2, 3))),
+        "layer_norm": lambda t: layer_norm(t((2, 3)), t((3,)), t((3,))),
+        "gelu": lambda t: gelu(t((2, 3))),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(_PRIMITIVE_CALLS))
+    def test_a_primitive_records_its_output_once(self, name, dtype):
+        rng = np.random.default_rng(0)
+
+        def inputs(requires_grad):
+            return lambda shape: Tensor(np.asarray(rng.random(shape) + 0.5, dtype=dtype),
+                                        requires_grad=requires_grad)
+
+        with Tape() as tape:
+            out = self._PRIMITIVE_CALLS[name](inputs(True))
+        assert len(tape) == 1
+        assert tape._nodes[0][0] is out
+        assert out.requires_grad and out.grad is None
+        assert type(out.data) is np.ndarray and out.data.dtype == dtype
+
+        with Tape() as tape:
+            out = self._PRIMITIVE_CALLS[name](inputs(False))
+        assert len(tape) == 0
+        assert not out.requires_grad
+        assert type(out.data) is np.ndarray and out.data.dtype == dtype
+
     def test_training_step_records_74_ops(self):
         from bolf.train import cross_entropy  # bolf.train imports this module
 

@@ -66,6 +66,26 @@ class TestWriteFile:
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
         assert link.read_bytes() == NEW
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_missing_parents_get_the_bits_makedirs_would_give(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_file(tmp_path / "made" / "deeper" / "f", NEW)
+            os.makedirs(tmp_path / "builtin" / "deeper")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "made" / "deeper" / "f").read_bytes() == NEW
+        for sub in ("", "deeper"):
+            mode = stat.S_IMODE((tmp_path / "made" / sub).stat().st_mode)
+            assert mode == stat.S_IMODE((tmp_path / "builtin" / sub).stat().st_mode)
+            assert mode == 0o777 & ~umask
+
+    def test_a_parent_that_is_a_file_is_not_a_directory(self, tmp_path):
+        (tmp_path / "afile").write_bytes(OLD)
+        with pytest.raises(NotADirectoryError):
+            write_file(tmp_path / "afile" / "f", NEW)
+        assert (tmp_path / "afile").read_bytes() == OLD
+
     def test_failed_write_leaves_the_bytes_written_so_far(self, tmp_path, fill_disk):
         path = tmp_path / "f"
         path.write_bytes(OLD)
@@ -209,3 +229,58 @@ def test_rerun_over_earlier_files_matches_a_fresh_run(tmp_path, capsys):
     assert len(names) == 16 + 4 + 4  # images; manifest, weights, history, report; rollouts
     match, mismatch, errors = filecmp.cmpfiles(fresh, rerun, names, shallow=False)
     assert (mismatch, errors) == ([], [])
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """(config, a generated and trained run directory), for the verbs below."""
+    root = tmp_path_factory.mktemp("nested")
+    cfg = root / "run.cfg"
+    cfg.write_text(CFG_TEXT)
+    out = root / "made" / "by" / "gen-data"  # gen-data into fresh nested directories
+    for verb in ("gen-data", "train"):
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    return cfg, out
+
+
+def test_verbs_write_into_fresh_nested_directories(corpus, tmp_path, capsys):
+    cfg, out = corpus
+    weights = tmp_path / "w" / "nested" / "weights.bolf"
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 "--set", f"run.weights_out={weights}"]) == EXIT_OK
+    assert weights.read_bytes() == (out / "weights.bolf").read_bytes()
+
+    reads = ["--config", str(cfg), "--set", f"run.weights_in={weights}"]
+    report = tmp_path / "eval" / "nested" / "report.csv"
+    assert main(["eval", *reads, "--out", str(report.parent),
+                 "--set", "run.protocol=cross_family"]) == EXIT_OK
+    assert report.read_bytes().startswith(",".join(cli.REPORT_COLUMNS).encode())
+
+    image = next((out / "images" / "test").glob("*.pgm"))
+    rollout = tmp_path / "rollout" / "nested"
+    assert main(["rollout", str(image), *reads, "--out", str(rollout)]) == EXIT_OK
+    assert sorted(p.name for p in rollout.iterdir()) == [f"{image.stem}-overlay.ppm",
+                                                         f"{image.stem}-rollout.pgm"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", ["gen-data", "train", "eval", "rollout"])
+def test_a_parent_that_is_a_file_exits_3(corpus, tmp_path, capsys, verb):
+    cfg, out = corpus
+    afile = tmp_path / "afile"
+    afile.write_bytes(OLD)
+    argv = [verb, "--config", str(cfg), "--out", str(afile / "out")]
+    if verb == "train":  # the weights go under the file; out holds the corpus
+        argv = [verb, "--config", str(cfg), "--out", str(out),
+                "--set", f"run.weights_out={afile / 'w.bolf'}"]
+    elif verb == "eval":
+        argv += ["--set", f"run.weights_in={out / 'weights.bolf'}",
+                 "--set", "run.protocol=cross_family"]
+    elif verb == "rollout":
+        image = next((out / "images" / "test").glob("*.pgm"))
+        argv = [verb, str(image), *argv[1:], "--set", f"run.weights_in={out / 'weights.bolf'}"]
+    assert main(argv) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: [Errno 20] Not a directory: ")
+    assert "Traceback" not in captured.err + captured.out
+    assert afile.read_bytes() == OLD
