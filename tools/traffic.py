@@ -31,6 +31,7 @@ import io
 import json
 import sys
 import threading
+import traceback
 import types
 from pathlib import Path
 
@@ -140,8 +141,8 @@ def run_workload(bench, workload: str, seed: int) -> dict | None:
         with contextlib.redirect_stdout(out):
             code = bench.main(["--workload", workload, "--seed", str(seed),
                                "--seconds", str(SECONDS), "--trace", "0"])
-    except (Exception, SystemExit) as exc:
-        print(f"{workload}: the run raised {exc!r}", file=sys.stderr)
+    except (Exception, SystemExit):
+        traceback.print_exc()
         code = 1
     finally:
         sys.stderr.write(out.getvalue())
