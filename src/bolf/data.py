@@ -525,7 +525,10 @@ def _open_keeping_contents(path, flags: int) -> int:
     try:
         return os.open(path, flags, 0o666)
     except FileNotFoundError:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        parent = os.path.dirname(path)
+        if not parent:
+            raise
+        os.makedirs(parent, exist_ok=True)
         return os.open(path, flags, 0o666)
 
 

@@ -86,6 +86,15 @@ class TestWriteFile:
             write_file(tmp_path / "afile" / "f", NEW)
         assert (tmp_path / "afile").read_bytes() == OLD
 
+    def test_a_bare_name_that_cannot_be_opened_keeps_its_own_error(self, tmp_path, monkeypatch):
+        # a dangling symlink into a missing directory: ENOENT, and no parent to make
+        monkeypatch.chdir(tmp_path)
+        os.symlink(tmp_path / "missing" / "target", "dangling")
+        with pytest.raises(FileNotFoundError) as caught:
+            write_file("dangling", NEW)
+        assert caught.value.filename == "dangling"
+        assert not (tmp_path / "missing").exists()
+
     def test_failed_write_leaves_the_bytes_written_so_far(self, tmp_path, fill_disk):
         path = tmp_path / "f"
         path.write_bytes(OLD)
@@ -284,3 +293,16 @@ def test_a_parent_that_is_a_file_exits_3(corpus, tmp_path, capsys, verb):
     assert captured.err.startswith("data error: [Errno 20] Not a directory: ")
     assert "Traceback" not in captured.err + captured.out
     assert afile.read_bytes() == OLD
+
+
+def test_a_bare_name_that_cannot_be_opened_exits_3_naming_it(corpus, tmp_path, capsys,
+                                                               monkeypatch):
+    cfg, out = corpus
+    monkeypatch.chdir(tmp_path)
+    os.symlink(tmp_path / "missing" / "w.bolf", "dangling.bolf")
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 "--set", "run.weights_out=dangling.bolf"]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "data error: [Errno 2] No such file or directory: 'dangling.bolf'")
+    assert "Traceback" not in captured.err + captured.out

@@ -1,11 +1,11 @@
 """The statements of bolf that no benchmark workload runs.
 
-    python3 tools/traffic.py [--seed 0] [--workload W ...]
+    python3 tools/traffic.py
 
-Runs ``perfbench/run.py --workload W --seed SEED --seconds 1 --trace 0``
-for each workload (all three by default), one after the other in this
-process, under a line tracer: ``sys.settrace``, and ``threading.settrace``
-for the threads started meanwhile. Each run sets up, runs and makes every
+Runs ``perfbench/run.py --workload W --seed 0 --seconds 1 --trace 0``
+for each of the three workloads, one after the other in this process,
+under a line tracer: ``sys.settrace``, and ``threading.settrace`` for
+the threads started meanwhile. Each run sets up, runs and makes every
 check the benchmark makes, as it does alone; its output goes to stderr.
 Then the statements under src/bolf that no run executed are printed, file
 by file, as ``path:line: first line of the statement``. Import-time
@@ -23,7 +23,6 @@ its result object; the listing is printed all the same.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import importlib.util
@@ -38,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = ROOT / "src" / "bolf"
 WORKLOADS = ("train", "eval", "explain")
+SEED = 0
 SECONDS = 1.0
 
 
@@ -133,13 +133,13 @@ def _load_benchmark():
     return module
 
 
-def run_workload(bench, workload: str, seed: int) -> dict | None:
+def run_workload(bench, workload: str) -> dict | None:
     """One benchmark run; its result object, or None if it ended without one.
     Everything the run prints goes to stderr."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            code = bench.main(["--workload", workload, "--seed", str(seed),
+            code = bench.main(["--workload", workload, "--seed", str(SEED),
                                "--seconds", str(SECONDS), "--trace", "0"])
     except (Exception, SystemExit):
         traceback.print_exc()
@@ -156,19 +156,13 @@ def run_workload(bench, workload: str, seed: int) -> dict | None:
     return result if isinstance(result, dict) else None
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run; all three by default")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     tracer = LineTracer(SOURCES)
     faults = []
     with tracer.installed():
         bench = _load_benchmark()
-        for workload in args.workload or WORKLOADS:
-            result = run_workload(bench, workload, args.seed)
+        for workload in WORKLOADS:
+            result = run_workload(bench, workload)
             if result is None:
                 faults.append(f"{workload}: no result object")
             elif not result.get("correct") or result.get("failed"):
