@@ -6,11 +6,13 @@ with kernel = stride = patch size), a learned class token is prepended
 and learned position embeddings added. A stack of pre-norm encoder
 blocks (multi-head self-attention + MLP, each with a residual
 connection) mixes patch information; the classifier reads only the
-class-token row. Everything after the last block's attention is
-row-wise, so that block's MLP and the final layer norm run on the
-class-token row alone. Per-head attention matrices are recorded whole,
-for every token of every layer, and returned as one array, so the
-decision can be attributed back to patches via attention rollout.
+class-token row. The last block's keys and values still cover every
+token, but its queries come from the class-token row alone, and all
+after them (scores, softmax, value mix, output projection, residual,
+MLP, final layer norm) runs on that row. Each block's per-head attention
+is returned, one array per block: every row of every block but the last,
+and the class-token row of the last, which is all that attention rollout
+needs to attribute the decision back to patches.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -274,27 +277,29 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tenso
     return matmul(attn, v), attn
 
 
-def multi_head_attention(z: Tensor, layer: LayerParams,
-                         heads: int) -> tuple[Tensor, Tensor]:
+def multi_head_attention(z: Tensor, layer: LayerParams, heads: int,
+                         cls_only: bool = False) -> tuple[Tensor, Tensor]:
     """Split the packed q/k/v projections of ``z`` ([batch,] tokens, dim)
     into a heads axis, run every head at once, merge the heads back along
-    the columns and project by wo.
+    the columns and project by wo. With ``cls_only`` the queries come from
+    the class-token row alone, while keys and values cover every token.
 
-    Returns the projected output and the ([batch,] heads, tokens, tokens)
-    attention matrices.
+    Returns the projected ([batch,] queries, dim) output and the ([batch,]
+    heads, queries, tokens) attention matrices, where queries is 1 with
+    ``cls_only`` and tokens otherwise.
     """
-    *lead, tokens, dim = z.shape
-    split = (*lead, tokens, heads, dim // heads)
+    lead = z.shape[:-2]
+    queries = narrow(z, z.ndim - 2, 0, 1) if cls_only else z
     # swaps the tokens and heads axes; its own inverse
     swap = (*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2)
 
     def heads_first(t: Tensor) -> Tensor:
-        return transpose(reshape(t, split), swap)
+        return transpose(reshape(t, (*t.shape[:-1], heads, t.shape[-1] // heads)), swap)
 
-    out, attn = scaled_dot_attention(heads_first(matmul(z, layer.wq)),
+    out, attn = scaled_dot_attention(heads_first(matmul(queries, layer.wq)),
                                      heads_first(matmul(z, layer.wk)),
                                      heads_first(matmul(z, layer.wv)))
-    merged = reshape(transpose(out, swap), z.shape)
+    merged = reshape(transpose(out, swap), queries.shape)
     return matmul(merged, layer.wo), attn
 
 
@@ -305,17 +310,18 @@ def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
 
     The MLP is linear -> GELU -> dropout -> linear. ``noise`` holds the
     dropout uniforms, one per hidden unit of the rows the MLP runs on;
-    ``None`` (eval mode) skips dropout. With ``cls_only`` the attention
-    still mixes every token and returns every row of its matrices, but the
-    MLP runs on the class-token row only, and the block returns that
-    ([batch,] 1, dim) row: the MLP is row-wise, so the row is the one the
-    full block gives.
+    ``None`` (eval mode) skips dropout. With ``cls_only`` the layer norm,
+    keys and values still cover every token, but the attention takes its
+    query from the class-token row only, and everything after it runs on
+    that row: the block returns the ([batch,] 1, dim) row the full block
+    gives, and the ([batch,] heads, 1, tokens) class-token rows of its
+    attention.
     """
     attended, attn = multi_head_attention(
-        layer_norm(z, layer.ln1_gamma, layer.ln1_beta), layer, config.heads)
-    z = attended + z
+        layer_norm(z, layer.ln1_gamma, layer.ln1_beta), layer, config.heads, cls_only)
     if cls_only:
         z = narrow(z, z.ndim - 2, 0, 1)
+    z = attended + z
     h = matmul(layer_norm(z, layer.ln2_gamma, layer.ln2_beta), layer.mlp_w1) + layer.mlp_b1
     h = dropout(gelu(h), config.dropout, noise)
     return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attn
@@ -337,19 +343,21 @@ def _keep_freed_memory() -> None:
 def forward(images, params: ModelParams, config: ModelConfig,
             train: bool = False,
             rng: np.random.Generator | None = None,
-            ) -> tuple[Tensor, np.ndarray]:
+            ) -> tuple[Tensor, list[np.ndarray]]:
     """Full pass: standardize, patchify, embed, encoder stack, final layer
     norm, then a fully-connected classifier on the class-token row only.
-    The classifier needs no other row, so the last block narrows to the
-    class-token row once its attention residual is added: its MLP and the
-    final layer norm run on that row alone.
+    The classifier needs no other row, so the last block takes its
+    attention queries from the class-token row alone: from there on, that
+    block and the final layer norm run on that row.
 
     ``images`` is a (batch, height, width, channels) stack, which moves
     through every layer as one (batch, tokens, dim) tensor and gives
-    (batch, NUM_CLASSES) logits and the (batch, depth, heads, tokens,
-    tokens) array of every block's row-stochastic attention matrices. A
-    single (height, width, channels) image runs as a batch of one and gives
-    (NUM_CLASSES,) logits and its (depth, heads, tokens, tokens) attention.
+    (batch, NUM_CLASSES) logits and a list of each block's row-stochastic
+    attention: a (batch, heads, tokens, tokens) array for every block but
+    the last, and the (batch, heads, 1, tokens) class-token rows of the
+    last. A single (height, width, channels) image runs as a batch of one
+    and gives (NUM_CLASSES,) logits and the same list without the batch
+    axis.
 
     The pass runs in the dtype of the parameters, float32 or float64, and
     pixels are cast to it. They arrive in [0, 1] and are mapped to [-1, 1]
@@ -359,12 +367,12 @@ def forward(images, params: ModelParams, config: ModelConfig,
 
     Eval mode (train=False) is a pure function of images and params. In
     train mode ``rng`` draws the dropout uniforms of the whole batch in
-    one call of shape (batch, depth, tokens, mlp_ratio * dim), image by
-    image, so each image gets the masks it would get in a pass over the
-    images one at a time: the random stream, and hence training, does not
-    depend on how the images are batched. Block i takes slice
-    ``[:, i]``; the last block takes only its class-token row, the
-    uniforms that row drew when that block's MLP ran on every token.
+    one call of shape (batch, (depth - 1) * tokens + 1, mlp_ratio * dim),
+    image by image, so each image gets the masks it would get in a pass
+    over the images one at a time: the random stream, and hence training,
+    does not depend on how the images are batched. Block i < depth - 1
+    takes rows ``[i * tokens, (i + 1) * tokens)``; the last block, whose
+    MLP runs on the class-token row only, takes the final row.
 
     The first forward in a process sets the allocator's heap pad
     (:func:`_keep_freed_memory`), whoever calls it.
@@ -380,42 +388,52 @@ def forward(images, params: ModelParams, config: ModelConfig,
     if train and config.dropout > 0.0:
         if rng is None:
             raise ValueError("train-mode forward needs an rng when dropout > 0")
-        noise = rng.random((batch, config.depth, tokens, config.mlp_ratio * config.dim))
-        layer_noise = [noise[:, i] for i in range(config.depth - 1)]
-        layer_noise.append(noise[:, -1, :1])  # the last block's class row
+        noise = rng.random((batch, (config.depth - 1) * tokens + 1,
+                            config.mlp_ratio * config.dim))
+        layer_noise = [noise[:, i * tokens:(i + 1) * tokens] for i in range(config.depth - 1)]
+        layer_noise.append(noise[:, -1:])  # the last block's class row
     recorded = []
     for i, (layer, uniforms) in enumerate(zip(params.layers, layer_noise)):
         z, layer_attn = encoder_block(z, layer, config, uniforms,
                                       cls_only=i == config.depth - 1)
-        recorded.append(layer_attn.data)
+        recorded.append(layer_attn.data[0] if single else layer_attn.data)
     cls_rows = layer_norm(z, params.ln_f_gamma, params.ln_f_beta)
     logits = reshape(matmul(cls_rows, params.fc_w) + params.fc_b,
                      (NUM_CLASSES,) if single else (batch, NUM_CLASSES))
-    attn = np.stack(recorded, axis=1)
-    return logits, attn[0] if single else attn
+    return logits, recorded
 
 
-def attention_rollout(attn: np.ndarray) -> np.ndarray:
+def _mixed(attn: np.ndarray) -> np.ndarray:
+    """The head mean of ([...,] heads, rows, tokens) attention, mixed with
+    the matching rows of the identity (0.5 A + 0.5 I) and row-renormalized."""
+    avg = np.mean(attn, axis=-3)
+    mixed = 0.5 * avg + 0.5 * np.eye(*avg.shape[-2:])
+    return mixed / mixed.sum(axis=-1, keepdims=True)
+
+
+def attention_rollout(attn: Sequence[np.ndarray]) -> np.ndarray:
     """Attribute the class-token decision to patches across the stack.
 
-    ``attn`` is one image's (depth, heads, tokens, tokens) attention, or a
-    stack of them with any leading axes; the result is the matching
-    ([...,] num_patches) heatmaps. Per layer: average the heads, then mix
-    with the identity (0.5 A + 0.5 I, row-renormalized) to account for the
-    residual path. The adjusted matrices are multiplied last-layer-first;
-    the heatmap is the class-token row restricted to the patch columns,
-    renormalized to sum to 1.
+    ``attn`` is the per-block record that :func:`forward` returns: one
+    ([...,] heads, rows, tokens) array per layer, first layer first, with
+    any leading axes shared by all. Each layer but the last needs all of
+    its rows; of the last, only the class-token row 0 is read. The result
+    is the matching ([...,] num_patches) heatmaps.
+
+    Per layer: average the heads, then mix with the identity (0.5 A +
+    0.5 I, row-renormalized) to account for the residual path. Rollout is
+    the class-token row of the product of these matrices, last layer
+    first, so it is computed as a vector-matrix chain: the last layer's
+    mixed class row times each earlier layer's mixed matrix in turn. The
+    heatmap is that row restricted to the patch columns, renormalized to
+    sum to 1.
     """
-    attn = np.asarray(attn)
-    if attn.ndim < 4 or attn.shape[-4] == 0:
-        raise ValueError(f"attention rollout needs (..., depth >= 1, heads, tokens, tokens) "
-                         f"matrices, got shape {attn.shape}")
-    avg = np.mean(attn, axis=-3)
-    mixed = 0.5 * avg + 0.5 * np.eye(avg.shape[-1])
-    mixed = mixed / mixed.sum(axis=-1, keepdims=True)
-    rollout = mixed[..., 0, :, :]
-    for layer in range(1, mixed.shape[-3]):
-        rollout = mixed[..., layer, :, :] @ rollout
+    if not len(attn) or any(np.ndim(a) < 3 for a in attn):
+        raise ValueError("attention rollout needs one (..., heads, rows, tokens) array per "
+                         f"layer, depth >= 1, got shapes {[np.shape(a) for a in attn]}")
+    rollout = _mixed(attn[-1][..., :1, :])
+    for layer in reversed(attn[:-1]):
+        rollout = rollout @ _mixed(layer)
     weights = rollout[..., 0, 1:]
     # a class row with no mass on the patches (pure self-attention) spreads
     # evenly instead of dividing by zero

@@ -121,8 +121,9 @@ def test_architectural_invariants():
 
     # attention matrices are row-stochastic
     _, attn = forward(img, params, GATE_MODEL)
-    assert (attn >= 0.0).all()
-    assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
+    for block in attn:
+        assert (block >= 0.0).all()
+        assert np.allclose(block.sum(axis=-1), 1.0, atol=1e-5)
 
     # rollout is a distribution over patches
     weights = attention_rollout(attn)

@@ -1,6 +1,7 @@
 """Tests for the patch-bag encoder: geometry, initialization, forward
 invariants, a hand-computed attention oracle, and attention rollout."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -217,17 +218,22 @@ class TestForward:
             forward(_image(tiny_model_cfg), params, tiny_model_cfg, train=True)
 
     def test_attention_record_geometry(self, tiny_model_cfg):
-        params = init_params(tiny_model_cfg, seed=0)
-        _, attn = forward(_image(tiny_model_cfg), params, tiny_model_cfg)
-        tokens = tiny_model_cfg.num_patches + 1
-        assert attn.shape == (tiny_model_cfg.depth, tiny_model_cfg.heads, tokens, tokens)
+        # every row of each block but the last; the last block's class row
+        cfg = dataclasses.replace(tiny_model_cfg, depth=3)
+        params = init_params(cfg, seed=0)
+        _, attn = forward(_image(cfg), params, cfg)
+        tokens = cfg.num_patches + 1
+        assert isinstance(attn, list)
+        assert [a.shape for a in attn] == [(cfg.heads, tokens, tokens)] * 2 + [
+            (cfg.heads, 1, tokens)]
 
     def test_attention_rows_are_stochastic(self):
         cfg = ModelConfig()
         params = init_params(cfg, seed=0)
         _, attn = forward(_image(cfg), params, cfg)
-        assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
-        assert (attn >= 0.0).all()
+        for block in attn:
+            assert np.allclose(block.sum(axis=-1), 1.0, atol=1e-12)
+            assert (block >= 0.0).all()
 
     def test_residual_identity_with_zeroed_block_weights(self, tiny_model_cfg, flat_params):
         # with wq..wo and both MLP matrices zero the block must return its
@@ -269,14 +275,16 @@ class TestBatchedForward:
         params = init_params(cfg, seed=1)
         images = self._stack(cfg)
         logits, attn = forward(images, params, cfg)
+        tokens = cfg.num_patches + 1
         assert logits.shape == (len(images), NUM_CLASSES)
-        assert attn.shape == (len(images), cfg.depth, cfg.heads,
-                              cfg.num_patches + 1, cfg.num_patches + 1)
-        for image, row, image_attn in zip(images, logits.data, attn):
+        assert [a.shape for a in attn] == [(len(images), cfg.heads, tokens, tokens),
+                                           (len(images), cfg.heads, 1, tokens)]
+        for i, (image, row) in enumerate(zip(images, logits.data)):
             one, one_attn = forward(image, params, cfg)
             assert np.max(np.abs(row - one.data)) <= 1e-12
-            assert one_attn.shape == image_attn.shape
-            assert np.max(np.abs(image_attn - one_attn)) <= 1e-12
+            for block, one_block in zip(attn, one_attn, strict=True):
+                assert one_block.shape == block[i].shape
+                assert np.max(np.abs(block[i] - one_block)) <= 1e-12
 
     def test_batch_gradient_is_sum_of_sample_gradients(self, tiny_model_cfg):
         cfg = tiny_model_cfg
@@ -306,7 +314,8 @@ class TestBatchedForward:
         one, attn = forward(img, params, tiny_model_cfg)
         stacked, stacked_attn = forward(img[None], params, tiny_model_cfg)
         assert np.array_equal(one.data, stacked.data[0])
-        assert np.array_equal(attn, stacked_attn[0])
+        for block, stacked_block in zip(attn, stacked_attn, strict=True):
+            assert np.array_equal(block, stacked_block[0])
 
     def test_batched_patchify_roundtrip(self, tiny_model_cfg):
         images = self._stack(tiny_model_cfg, n=3)
@@ -318,25 +327,48 @@ class TestBatchedForward:
 
 
 class TestClassRowOnlyLastBlock:
-    """forward runs the last block's MLP and the final layer norm on the
-    class-token row only. The reference below runs every block on every
-    row and narrows after the final layer norm; both must agree, and in
-    train mode the class row must get the dropout mask it got before."""
+    """forward runs the last block's attention queries, everything after
+    them and the final layer norm on the class-token row only. The
+    reference below runs every block on every row and narrows after the
+    final layer norm; both must agree, and in train mode the class row
+    must get the dropout mask the trimmed draw gives it."""
 
     @staticmethod
     def _full_rows(images, params, cfg, rng=None):
-        """(batch, NUM_CLASSES) logits and per-layer attention stacks with
-        every block on every row; train mode when rng is given."""
+        """(batch, NUM_CLASSES) logits and per-layer (batch, heads, tokens,
+        tokens) attention with every block on every row; train mode when
+        rng is given, drawing what forward draws."""
         z = embed_patches(patchify((images - 0.5) / 0.5, cfg), params)
+        tokens = z.shape[1]
         noise = None if rng is None else rng.random(
-            (len(images), cfg.depth, z.shape[1], cfg.mlp_ratio * cfg.dim))
+            (len(images), (cfg.depth - 1) * tokens + 1, cfg.mlp_ratio * cfg.dim))
         recorded = []
         for i, layer in enumerate(params.layers):
-            z, attn = encoder_block(z, layer, cfg, None if noise is None else noise[:, i])
+            uniforms = None
+            if noise is not None and i < cfg.depth - 1:
+                uniforms = noise[:, i * tokens:(i + 1) * tokens]
+            elif noise is not None:
+                # the last block's other rows never reach the logits, so
+                # any uniforms serve them
+                uniforms = np.repeat(noise[:, -1:], tokens, axis=1)
+            z, attn = encoder_block(z, layer, cfg, uniforms)
             recorded.append(attn.data)
         z = narrow(layer_norm(z, params.ln_f_gamma, params.ln_f_beta), 1, 0, 1)
         logits = matmul(z, params.fc_w) + params.fc_b
         return reshape(logits, (len(images), NUM_CLASSES)), recorded
+
+    @staticmethod
+    def _full_rollout(full_attn):
+        """Rollout as the product of whole mixed matrices, last layer
+        first, then the class row over the patches."""
+        rollout = None
+        for attn in full_attn:
+            avg = attn.mean(axis=-3)
+            mixed = 0.5 * avg + 0.5 * np.eye(avg.shape[-1])
+            mixed = mixed / mixed.sum(axis=-1, keepdims=True)
+            rollout = mixed if rollout is None else mixed @ rollout
+        weights = rollout[..., 0, 1:]
+        return weights / weights.sum(axis=-1, keepdims=True)
 
     def test_eval_logits_and_attention_match_full_rows(self):
         cfg = ModelConfig()
@@ -344,15 +376,20 @@ class TestClassRowOnlyLastBlock:
         images = np.stack([_image(cfg, seed=s) for s in range(5)])
         logits, attn = forward(images, params, cfg)
         ref_logits, ref_attn = self._full_rows(images, params, cfg)
-        # the class row goes through the same products either way, so with
-        # OpenBLAS the logits agree bit for bit
         assert np.max(np.abs(logits.data - ref_logits.data)) <= 1e-12
-        assert np.array_equal(attn, np.stack(ref_attn, axis=1))
-        # a batch of one makes the last MLP's products one row long, which
-        # BLAS may sum in another order (a matrix-vector kernel)
+        # blocks before the last run the same products either way
+        for block, ref_block in zip(attn[:-1], ref_attn[:-1], strict=True):
+            assert np.array_equal(block, ref_block)
+        # the last block's class row is a one-row product, which BLAS may
+        # sum in another order (a vector-matrix kernel)
+        assert attn[-1].shape == (len(images), cfg.heads, 1, cfg.num_patches + 1)
+        assert np.max(np.abs(attn[-1] - ref_attn[-1][:, :, :1])) <= 1e-12
+        # a batch of one makes the last block's products one row long too
         one, one_attn = forward(images[0], params, cfg)
         assert np.max(np.abs(one.data - ref_logits.data[0])) <= 1e-12
-        assert np.array_equal(one_attn, np.stack(ref_attn, axis=1)[0])
+        for block, ref_block in zip(one_attn[:-1], ref_attn[:-1], strict=True):
+            assert np.array_equal(block, ref_block[0])
+        assert np.max(np.abs(one_attn[-1] - ref_attn[-1][0, :, :1])) <= 1e-12
 
     def test_train_logits_gradients_and_stream_match_full_rows(self):
         cfg = ModelConfig(height=16, width=16, channels=1, patch_size=4, dim=16,
@@ -381,13 +418,46 @@ class TestClassRowOnlyLastBlock:
             assert np.max(np.abs(grad - ref_grads[name])) <= 1e-12, name
         assert np.array_equal(next_draw, ref_next)
 
+    def test_dropout_draw_is_per_image_and_trimmed(self):
+        # a stack draws what its images draw one at a time, and each image
+        # takes (depth - 1) * tokens + 1 rows of mlp_ratio * dim uniforms
+        cfg = ModelConfig(height=16, width=16, channels=1, patch_size=4, dim=16,
+                          depth=3, heads=2, mlp_ratio=2, dropout=0.5)
+        params = init_params(cfg, seed=3)
+        images = np.stack([_image(cfg, seed=s) for s in range(4)])
+        rng, one_rng = np.random.default_rng(7), np.random.default_rng(7)
+        stacked = forward(images, params, cfg, train=True, rng=rng)[0].data
+        for image, row in zip(images, stacked):
+            one = forward(image, params, cfg, train=True, rng=one_rng)[0].data
+            assert np.max(np.abs(row - one)) <= 1e-12
+        per_image = ((cfg.depth - 1) * (cfg.num_patches + 1) + 1) * cfg.mlp_ratio * cfg.dim
+        skipped = np.random.default_rng(7)
+        skipped.random(len(images) * per_image)
+        after = rng.random(8)
+        assert np.array_equal(after, one_rng.random(8))
+        assert np.array_equal(after, skipped.random(8))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_rollout_matches_full_matrix_product(self, depth):
+        cfg = ModelConfig(depth=depth)
+        params = init_params(cfg, seed=1)
+        images = np.stack([_image(cfg, seed=s) for s in range(5)])
+        _, full_attn = self._full_rows(images, params, cfg)
+        want = self._full_rollout(full_attn)
+        stacked = attention_rollout(forward(images, params, cfg)[1])
+        assert stacked.shape == want.shape == (len(images), cfg.num_patches)
+        assert np.max(np.abs(stacked - want)) <= 1e-12
+        one = attention_rollout(forward(images[0], params, cfg)[1])
+        assert np.max(np.abs(one - self._full_rollout([a[0] for a in full_attn]))) <= 1e-12
+
     def test_cls_only_block_returns_the_class_row(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
         z = Tensor(np.random.default_rng(2).normal(size=(3, 5, tiny_model_cfg.dim)))
         full, full_attn = encoder_block(z, params.layers[0], tiny_model_cfg)
         row, attn = encoder_block(z, params.layers[0], tiny_model_cfg, cls_only=True)
         assert row.shape == (3, 1, tiny_model_cfg.dim)
-        assert np.array_equal(attn.data, full_attn.data)
+        assert attn.shape == (3, tiny_model_cfg.heads, 1, 5)
+        assert np.max(np.abs(attn.data - full_attn.data[:, :, :1])) <= 1e-12
         assert np.max(np.abs(row.data - full.data[:, :1])) <= 1e-12
 
 
@@ -426,8 +496,8 @@ class TestAttentionOracle:
 class TestRollout:
     @staticmethod
     def _single_head(mats):
-        """(depth, 1, tokens, tokens) attention with one head per layer."""
-        return np.array(mats, dtype=float)[:, None]
+        """Per-layer (1, tokens, tokens) attention, one head per layer."""
+        return [np.array(m, dtype=float)[None] for m in mats]
 
     def test_weights_sum_to_one(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
@@ -465,31 +535,33 @@ class TestRollout:
         # single-head case
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        weights = attention_rollout(np.array([[a, b]]))
+        weights = attention_rollout([np.array([a, b])])
         assert np.allclose(weights, [1.0])
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            attention_rollout(np.zeros((0, 1, 4, 4)))
+            attention_rollout([])
         with pytest.raises(ValueError):
-            attention_rollout(np.eye(4))
+            attention_rollout([np.eye(4)])  # no heads axis
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_stack_equals_single_image_calls(self, dtype):
-        # random row-stochastic (batch, depth, heads, tokens, tokens)
-        # stacks; image 2 is pure self-attention and takes the uniform
-        # fallback
-        raw = np.random.default_rng(4).random((5, 3, 4, 17, 17))
-        raw[2] = np.eye(17)
-        attn = (raw / raw.sum(axis=-1, keepdims=True)).astype(dtype)
+        # random row-stochastic records of 3 layers for a batch of 5: two
+        # (5, heads, tokens, tokens) layers and the last layer's class rows;
+        # image 2 is pure self-attention and takes the uniform fallback
+        rng = np.random.default_rng(4)
+        raw = [rng.random((5, 4, 17, 17)), rng.random((5, 4, 17, 17)), rng.random((5, 4, 1, 17))]
+        for layer in raw:
+            layer[2] = np.eye(*layer.shape[-2:])
+        attn = [(layer / layer.sum(axis=-1, keepdims=True)).astype(dtype) for layer in raw]
         stacked = attention_rollout(attn)
         assert stacked.shape == (5, 16)
-        for image_attn, row in zip(attn, stacked):
-            assert np.array_equal(row, attention_rollout(image_attn))
+        for i, row in enumerate(stacked):
+            assert np.array_equal(row, attention_rollout([layer[i] for layer in attn]))
         assert np.array_equal(stacked[2], np.full(16, 1.0 / 16))
         # leading axes beyond one batch axis roll out the same way
-        assert np.array_equal(attention_rollout(attn.reshape(5, 1, 3, 4, 17, 17))[:, 0],
-                              stacked)
+        assert np.array_equal(
+            attention_rollout([layer[:, None] for layer in attn])[:, 0], stacked)
 
 
 class TestHeatmap:

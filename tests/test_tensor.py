@@ -256,7 +256,7 @@ class TestTapeMechanics:
         assert not out.requires_grad
         assert type(out.data) is np.ndarray and out.data.dtype == dtype
 
-    def test_training_step_records_74_ops(self):
+    def test_training_step_records_75_ops(self):
         from bolf.train import cross_entropy  # bolf.train imports this module
 
         cfg = ModelConfig()  # two blocks, with dropout
@@ -266,7 +266,7 @@ class TestTapeMechanics:
             logits, _ = forward(images, params, cfg, train=True,
                                 rng=np.random.default_rng(1))
             cross_entropy(logits, np.array([0, 1] * 4))
-        assert len(tape) == 74
+        assert len(tape) == 75
 
 
 class TestBroadcasting:

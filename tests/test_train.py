@@ -372,7 +372,7 @@ class TestTrainingDtype:
         f32 = np.dtype(np.float32)
         for _, logits, attn in seen["forward"]:
             assert logits.data.dtype == f32
-            assert attn.dtype == f32
+            assert {block.dtype for block in attn} == {f32}
         n = len(params.named())
         assert seen["loss"] == [f32]
         assert seen["grad"] == [f32] * n
