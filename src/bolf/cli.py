@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterator
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -97,21 +98,6 @@ def _load_params(cfg: RunConfig, path: Path | None = None) -> ModelParams:
     return params
 
 
-def _report_row(cfg: RunConfig, scored: list[ScoredSample], *, split: str,
-                family: str, perturbation: str, level: int) -> dict:
-    return {
-        "protocol": cfg.protocol,
-        "split": split,
-        "family": family,
-        "perturbation": perturbation,
-        "level": level,
-        "acc": accuracy(scored, cfg.threshold),
-        "auc_frame": roc_auc(scored),
-        "auc_video": roc_auc(video_level(scored)),
-        "n": len(scored),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -152,63 +138,52 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _perturbed_rows(cfg: RunConfig, params: ModelParams,
-                    base: list, split: str, family: str) -> list[dict]:
-    """Clean reference, each kind at the configured level, then the three
-    mixed suites (random kind / random kind+level / three kinds composed).
-    Level 0 turns every row into the identity for A/B comparison."""
-    rows = [_report_row(cfg, score_samples(params, base, cfg.model), split=split,
-                        family=family, perturbation="none", level=0)]
+def _scored_rows(cfg: RunConfig, params: ModelParams
+                 ) -> Iterator[tuple[str, str, str, int, list[ScoredSample]]]:
+    """The rows of ``bolf eval``'s report in order, as (split, family,
+    perturbation, level, scored samples), each made when it is asked for.
 
-    def scored_under(spec_for, salt: int) -> list[ScoredSample]:
-        indices = range(len(base))
-        frames = perturb(np.stack([s.pixels for s in base]), [spec_for(i) for i in indices],
-                         [cfg.data.seed * 1_000_003 + salt * 9_973 + i for i in indices])
-        return score_samples(params, [replace(s, pixels=p) for s, p in zip(base, frames)],
-                             cfg.model)
-
-    for salt, kind in enumerate(PERTURBATION_KINDS, start=1):
-        rows.append(_report_row(
-            cfg, scored_under(lambda i: PerturbationSpec(kind, cfg.level), salt),
-            split=split, family=family, perturbation=kind, level=cfg.level))
-
-    pick = np.random.default_rng(np.random.SeedSequence([cfg.data.seed, 71]))
-    kinds = [PERTURBATION_KINDS[k] for k in pick.integers(0, len(PERTURBATION_KINDS),
-                                                          size=len(base))]
-    rows.append(_report_row(
-        cfg, scored_under(lambda i: PerturbationSpec(kinds[i], cfg.level), 5),
-        split=split, family=family, perturbation="sing", level=cfg.level))
-    rows.append(_report_row(
-        cfg, scored_under(
-            lambda i: PerturbationSpec(kinds[i], "random" if cfg.level else 0), 6),
-        split=split, family=family, perturbation="rand", level=0))
-    rows.append(_report_row(
-        cfg, scored_under(lambda i: PerturbationSpec("mix", cfg.level, mix_count=3), 7),
-        split=split, family=family, perturbation="mix3", level=cfg.level))
-    return rows
-
-
-def cmd_eval(cfg: RunConfig) -> int:
-    params = _load_params(cfg)
-
+    Every protocol's first row is the clean split. ``perturbed`` follows it
+    with each kind at run.level, then the three mixed suites (random kind /
+    random kind+level / three kinds composed). Level 0 turns every row into
+    the identity for A/B comparison.
+    """
     if cfg.protocol == "cross_family":
         # The unseen-generator protocol scores the other family's test
         # split, regenerated in memory from the same spec; only those rows
         # go in the report.
-        other = _OTHER_FAMILY[cfg.data.family]
-        foreign = build_split(replace(cfg.data, family=other), "test")
-        scored = score_samples(params, foreign, cfg.model)
-        rows = [_report_row(cfg, scored, split="test", family=other,
-                            perturbation="none", level=0)]
+        split, family = "test", _OTHER_FAMILY[cfg.data.family]
+        base = build_split(replace(cfg.data, family=family), split)
     else:
-        base = load_manifest(_manifest_path(cfg), (cfg.split,)).split(cfg.split)
+        split = cfg.split
+        base = load_manifest(_manifest_path(cfg), (split,)).split(split)
         family = base[0].family
-        if cfg.protocol == "in_dist":
-            scored = score_samples(params, base, cfg.model)
-            rows = [_report_row(cfg, scored, split=cfg.split, family=family,
-                                perturbation="none", level=0)]
-        else:
-            rows = _perturbed_rows(cfg, params, base, cfg.split, family)
+    yield split, family, "none", 0, score_samples(params, base, cfg.model)
+    if cfg.protocol != "perturbed":
+        return
+    n, level = len(base), cfg.level
+    pick = np.random.default_rng(np.random.SeedSequence([cfg.data.seed, 71]))
+    kinds = [PERTURBATION_KINDS[k] for k in pick.integers(0, len(PERTURBATION_KINDS), size=n)]
+    table = [*((kind, level, [PerturbationSpec(kind, level)] * n) for kind in PERTURBATION_KINDS),
+             ("sing", level, [PerturbationSpec(k, level) for k in kinds]),
+             ("rand", 0, [PerturbationSpec(k, "random" if level else 0) for k in kinds]),
+             ("mix3", level, [PerturbationSpec("mix", level, mix_count=3)] * n)]
+    for salt, (name, row_level, specs) in enumerate(table, start=1):
+        frames = perturb(np.stack([s.pixels for s in base]), specs,
+                         [cfg.data.seed * 1_000_003 + salt * 9_973 + i for i in range(n)])
+        scored = score_samples(params, [replace(s, pixels=p) for s, p in zip(base, frames)],
+                               cfg.model)
+        del frames  # released before the next row is perturbed
+        yield split, family, name, row_level, scored
+
+
+def cmd_eval(cfg: RunConfig) -> int:
+    params = _load_params(cfg)
+    rows = [{"protocol": cfg.protocol, "split": split, "family": family,
+             "perturbation": perturbation, "level": level,
+             "acc": accuracy(scored, cfg.threshold), "auc_frame": roc_auc(scored),
+             "auc_video": roc_auc(video_level(scored)), "n": len(scored)}
+            for split, family, perturbation, level, scored in _scored_rows(cfg, params)]
 
     report_path = Path(cfg.out_dir) / "report.csv"
     _write_csv(report_path, REPORT_COLUMNS, rows)

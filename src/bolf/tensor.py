@@ -67,6 +67,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
+    # numpy operators return NotImplemented for a tensor operand, so
+    # ``ndarray + tensor`` reaches __radd__ instead of an object array
+    __array_ufunc__ = None
+
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(DTYPE)

@@ -23,10 +23,14 @@ from hypothesis import given, settings, strategies as st
 
 import bolf.cli as cli
 from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from bolf.data import (DatasetSpec, FormatError, gen_original, load_manifest, read_ppm,
+from bolf.config import load_config
+from bolf.data import (PERTURBATION_KINDS, DatasetSpec, FormatError, PerturbationSpec,
+                       build_split, gen_original, load_manifest, perturb, read_ppm,
                        write_ppm)
+from bolf.metrics import accuracy, roc_auc, video_level
 from bolf.model import ModelConfig, ModelParams, forward, init_params
 from bolf.tensor import Tensor, mul, sum_all
+from bolf.train import score_samples
 from bolf.weights import load_weights, save_weights
 
 CFG_TEXT = """\
@@ -176,6 +180,50 @@ class TestEvalProtocols:
                          "sing", "rand", "mix3"]
         levels = [dict(zip(header, r))["level"] for r in rows[1:]]
         assert levels == ["0", "3", "3", "3", "3", "3", "0", "3"]
+
+    @pytest.mark.parametrize("protocol,level", [
+        ("in_dist", 3), ("cross_family", 3), ("perturbed", 3), ("perturbed", 0)])
+    def test_report_matches_an_independent_assembly(self, ws, protocol, level):
+        # Each row is rebuilt frame by frame from the documented scheme: the
+        # clean split first; under perturbed, the four kinds at run.level,
+        # then sing, rand and mix3, with salts 1-7 in that order, frame i
+        # perturbed with seed data.seed * 1_000_003 + salt * 9_973 + i, and
+        # the kinds of sing and rand drawn once from SeedSequence([data.seed, 71]).
+        overrides = [f"run.protocol={protocol}", f"run.level={level}"]
+        assert main(["eval", "--config", ws["cfg"], "--out", str(ws["out"]),
+                     *(a for o in overrides for a in ("--set", o))]) == EXIT_OK
+        cfg = load_config(ws["cfg"], overrides, None, str(ws["out"]))
+        params = ModelParams.from_arrays(cfg.model, load_weights(cfg.weights_out_path()),
+                                         requires_grad=False)
+        if protocol == "cross_family":
+            base = build_split(replace(cfg.data, family="B"), "test")
+        else:
+            base = load_manifest(ws["out"] / "manifest.csv", ("test",)).test
+        seed, n = cfg.data.seed, len(base)
+        suite = [("none", 0, [None] * n)]
+        if protocol == "perturbed":
+            pick = np.random.default_rng(np.random.SeedSequence([seed, 71]))
+            drawn = [PERTURBATION_KINDS[k]
+                     for k in pick.integers(0, len(PERTURBATION_KINDS), size=n)]
+            suite += [(kind, level, [PerturbationSpec(kind, level)] * n)
+                      for kind in PERTURBATION_KINDS]
+            suite += [("sing", level, [PerturbationSpec(k, level) for k in drawn]),
+                      ("rand", 0, [PerturbationSpec(k, "random" if level else 0)
+                                   for k in drawn]),
+                      ("mix3", level, [PerturbationSpec("mix", level, mix_count=3)] * n)]
+        text = io.StringIO()
+        out = csv.writer(text, lineterminator="\n")
+        out.writerow(cli.REPORT_COLUMNS)
+        for salt, (name, row_level, specs) in enumerate(suite):
+            samples = [s if spec is None else
+                       replace(s, pixels=perturb(s.pixels, spec,
+                                                 seed * 1_000_003 + salt * 9_973 + i))
+                       for i, (s, spec) in enumerate(zip(base, specs))]
+            scored = score_samples(params, samples, cfg.model)
+            out.writerow([protocol, "test", base[0].family, name, row_level,
+                          accuracy(scored, cfg.threshold), roc_auc(scored),
+                          roc_auc(video_level(scored)), n])
+        assert (ws["out"] / "report.csv").read_text() == text.getvalue()
 
     def test_perturbed_level_zero_equals_clean(self, ws):
         assert main(["eval", "--config", ws["cfg"], "--out", str(ws["out"]),

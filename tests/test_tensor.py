@@ -106,6 +106,23 @@ class TestTensorBasics:
         assert np.array_equal((1.0 - a).data, [-1.0, -3.0])
         assert np.array_equal((2.0 + a).data, [4.0, 6.0])
 
+    def test_numpy_operands_on_the_left_defer_to_the_tensor(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            out = np.arange(3.0) + t
+            assert isinstance(out, Tensor)
+            loss = sum_all(mul(out, out))
+        backward(loss, tape)
+        assert np.array_equal(out.data, [1.0, 2.0, 3.0])
+        assert np.array_equal(t.grad, [2.0, 4.0, 6.0])
+        assert np.array_equal((np.ones(3) - t).data, np.zeros(3))
+        t32 = Tensor(np.ones(2, dtype=np.float32))
+        out32 = np.float32(2) * t32
+        assert isinstance(out32, Tensor) and out32.data.dtype == np.float32
+        # there is no __rmatmul__: numpy's matmul must not iterate the tensor
+        with pytest.raises(TypeError):
+            np.ones((2, 2)) @ Tensor(np.ones((2, 2)))
+
     def test_add_of_two_raw_arrays(self):
         out = add(np.array([1.0, 2.0]), np.array([3, 4]))
         assert isinstance(out, Tensor)
