@@ -406,7 +406,9 @@ def _apply_kind(stack: np.ndarray, kind: str, level: int,
     elif kind == "block_quantize":
         out = _block_mean(stack, QUANT_BLOCK_PER_LEVEL * level)
     else:  # brightness_shift
-        shifts = [rng.choice((-1.0, 1.0)) * BRIGHTNESS_PER_LEVEL * level for rng in rngs]
+        # the same draw as rng.choice((-1.0, 1.0)), without its overhead
+        shifts = [(-1.0, 1.0)[rng.integers(0, 2)] * BRIGHTNESS_PER_LEVEL * level
+                  for rng in rngs]
         out = stack + np.array(shifts)[:, None, None, None]
     return np.clip(out, 0.0, 1.0, out=out)
 

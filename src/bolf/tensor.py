@@ -470,7 +470,10 @@ def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize each vector along the last axis, then apply the affine map.
 
     Per vector: subtract the mean, divide by sqrt(variance + LN_EPS)
-    (population variance), scale by gamma and shift by beta.
+    (population variance), scale by gamma and shift by beta. The output,
+    gamma * xhat + beta, is written over the centered input, a scratch
+    array of its own, whenever gamma and beta share x's dtype; x itself is
+    never written.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     d = x.shape[-1]
@@ -495,6 +498,10 @@ def layer_norm(x, gamma, beta) -> Tensor:
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     np.multiply(centered, inv, out=xhat)
+    # centered is spent; when gamma and beta share its dtype, which the
+    # output then has too, it takes the output
+    scratch = centered if gamma.data.dtype == beta.data.dtype == centered.dtype else None
+    out = np.add(np.multiply(gamma.data, xhat, out=scratch), beta.data, out=scratch)
 
     def adjoint(g):
         if gamma.requires_grad:
@@ -515,14 +522,22 @@ def layer_norm(x, gamma, beta) -> Tensor:
             dxhat *= inv
             _accum(x, dxhat, fresh=True)
 
-    return _output(gamma.data * xhat + beta.data,
-                   x.requires_grad or gamma.requires_grad or beta.requires_grad, adjoint)
+    return _output(out, x.requires_grad or gamma.requires_grad or beta.requires_grad, adjoint)
 
 
 def gelu(x) -> Tensor:
-    """Gaussian-error linear unit, exact erf form 0.5*x*(1 + erf(x/sqrt(2)))."""
+    """Gaussian-error linear unit, exact erf form x * (0.5 * (1 + erf(x/sqrt(2)))).
+
+    The normal CDF is built in one array of x's dtype, by the same ufuncs in
+    the same order as that expression; x itself is never written.
+    """
     x = _wrap(x)
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT_2))
+    # out= keeps a 0-d input a 0-d array, where a bare divide would give a
+    # numpy scalar that erf cannot write into
+    cdf = np.divide(x.data, _SQRT_2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def adjoint(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)

@@ -134,16 +134,25 @@ def fake_score(logits: np.ndarray) -> np.ndarray:
     return e[..., 1] / e.sum(axis=-1)
 
 
-def score_samples(params: ModelParams, samples, config: ModelConfig) -> list[ScoredSample]:
+def score_samples(params: ModelParams, samples, config: ModelConfig,
+                  pixels: np.ndarray | None = None) -> list[ScoredSample]:
     """Eval-mode scores for a list of image samples, in order, from
-    batched forward passes of SCORE_CHUNK frames."""
-    out = []
-    for start in range(0, len(samples), SCORE_CHUNK):
-        chunk = samples[start:start + SCORE_CHUNK]
-        logits, _ = forward(np.stack([s.pixels for s in chunk]), params, config)
-        out += [ScoredSample(float(p), s.label, s.video_id)
-                for p, s in zip(fake_score(logits.data), chunk)]
-    return out
+    batched forward passes over SCORE_CHUNK-frame views of one
+    (N, H, W, C) stack.
+
+    ``pixels`` is that stack, one frame per sample, frame i scored with
+    ``samples[i]``'s label and video id; by default it is the samples' own
+    pixels, stacked once. A stack of another length is a ValueError.
+    """
+    if pixels is None:
+        # np.stack needs a frame; no samples are an empty stack
+        pixels = np.stack([s.pixels for s in samples]) if samples else np.empty(0)
+    scores = []
+    for start in range(0, len(pixels), SCORE_CHUNK):
+        logits, _ = forward(pixels[start:start + SCORE_CHUNK], params, config)
+        scores.extend(fake_score(logits.data))
+    return [ScoredSample(float(p), s.label, s.video_id)
+            for p, s in zip(scores, samples, strict=True)]
 
 
 def evaluate(params: ModelParams, samples, config: ModelConfig,
@@ -191,8 +200,8 @@ def _shuffled_order(samples, rng: np.random.Generator) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def train(params: ModelParams, splits, train_cfg: TrainConfig,
-          model_cfg: ModelConfig) -> tuple[ModelParams, list[EpochStats]]:
+def train(params: ModelParams, splits, train_cfg: TrainConfig, model_cfg: ModelConfig,
+          threshold: float = 0.5) -> tuple[ModelParams, list[EpochStats]]:
     """Run the full training loop; deterministic for a fixed seed.
 
     Training runs in float32: on entry every parameter tensor of
@@ -210,7 +219,8 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
     The cosine learning-rate schedule is stepped once per optimizer step,
     with T = epochs * ceil(len(train) / batch_size). A non-finite loss or
     gradient stops training before the update, naming where it happened.
-    Every epoch ends with an eval-mode pass over ``val``.
+    Every epoch ends with an eval-mode pass over ``val``; its accuracy
+    counts a score at or above ``threshold`` as a fake.
     """
     train_set = splits.train
     val_set = splits.val
@@ -255,7 +265,7 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig,
                                     f"step {opt.t}")
             opt.step(last_lr)
 
-        val_acc, val_auc = evaluate(params, val_set, model_cfg)
+        val_acc, val_auc = evaluate(params, val_set, model_cfg, threshold)
         history.append(EpochStats(
             epoch=epoch,
             mean_loss=loss_sum / len(train_set),

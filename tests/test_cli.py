@@ -133,6 +133,28 @@ class TestTrain:
         assert float(row[header.index("acc")]) == train_acc
         assert float(row[header.index("auc_frame")]) == train_auc
 
+    def test_history_val_acc_uses_run_threshold(self, ws, tmp_path, capsys):
+        # training is the same at any threshold, so the float32 model that
+        # the last epoch validated is the saved weights, cast back
+        val = load_manifest(ws["out"] / "manifest.csv", ("val",)).val
+        params = ModelParams.from_arrays(CFG_MODEL, load_weights(ws["out"] / "weights.bolf"))
+        for _, t in params.named():
+            t.data = t.data.astype(np.float32)
+        scored = score_samples(params, val, CFG_MODEL)
+        # a threshold at which the accuracy differs from the default's
+        threshold = next(s.score for s in sorted(scored, key=lambda s: s.score)
+                         if accuracy(scored, s.score) != accuracy(scored, 0.5))
+        shutil.copytree(ws["out"] / "images", tmp_path / "images")
+        shutil.copy(ws["out"] / "manifest.csv", tmp_path)
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path),
+                     "--set", f"run.threshold={threshold!r}"]) == EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / "weights.bolf").read_bytes() == \
+               (ws["out"] / "weights.bolf").read_bytes()
+        header, *rows = _read_csv(tmp_path / "history.csv")
+        assert float(rows[-1][header.index("val_acc")]) == accuracy(scored, threshold)
+        assert float(rows[-1][header.index("val_auc")]) == roc_auc(scored)
+
     def test_seed_flag_changes_weights(self, ws):
         out = ws["root"] / "seeded"
         assert main(["gen-data", "--config", ws["cfg"], "--out", str(out)]) == EXIT_OK

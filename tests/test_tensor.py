@@ -961,6 +961,43 @@ class TestKernelOracles:
         _same_bytes(out, want_out)
         _same_bytes(grad, want_grad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3, 17)])
+    def test_gelu_and_layer_norm_leave_their_inputs_unchanged(self, shape, dtype):
+        # off the tape, as eval runs them, and on a strided view as well as
+        # a contiguous array: the output is a new array with the oracle's bytes
+        x = self._draw(shape, dtype, 13)
+        views = [x, self._draw(shape[::-1], dtype, 14).T] if shape else [x]
+        for x in views:
+            kept = x.copy()
+            out = gelu(Tensor(x)).data
+            _same_bytes(out, _gelu_oracle(x, x)[0])
+            _same_bytes(x, kept)
+            assert not np.shares_memory(out, x)
+            if not shape:
+                continue
+            gamma = self._draw(shape[-1:], dtype, 15, 1.0)
+            beta = self._draw(shape[-1:], dtype, 16, 1.0)
+            kept_gamma, kept_beta = gamma.copy(), beta.copy()
+            out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+            _same_bytes(out, _layer_norm_oracle(x, gamma, beta, x)[0])
+            for array, before in ((x, kept), (gamma, kept_gamma), (beta, kept_beta)):
+                _same_bytes(array, before)
+                assert not np.shares_memory(out, array)
+
+    @pytest.mark.parametrize("dtypes", list(itertools.product([np.float32, np.float64],
+                                                              repeat=3)))
+    def test_layer_norm_output_takes_the_promoted_dtype(self, dtypes):
+        # float64 gamma or beta over a float32 x promote the affine map, so
+        # its output cannot be written over x's float32 scratch
+        x_dtype, gamma_dtype, beta_dtype = dtypes
+        x = self._draw((2, 3, 17), x_dtype, 17)
+        gamma = self._draw((17,), gamma_dtype, 18, 1.0)
+        beta = self._draw((17,), beta_dtype, 19, 1.0)
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert out.dtype == np.result_type(x, gamma, beta)
+        _same_bytes(out, _layer_norm_oracle(x, gamma, beta, x)[0])
+
     @pytest.mark.parametrize("ndim", range(5))
     def test_transpose_inverse(self, ndim):
         shape = (2, 3, 4, 5)[:ndim]

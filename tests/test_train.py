@@ -6,13 +6,15 @@ momentum steps under a constant gradient displace by 2.9 * lr * g.
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bolf.model import ModelConfig, ModelParams, init_params
+from bolf.model import ModelConfig, ModelParams, forward, init_params
 from bolf.tensor import Tape, Tensor, backward, grad_check, mul, sum_all
 from bolf.train import (
+    SCORE_CHUNK,
     TRAIN_DTYPE,
     EpochStats,
     MomentumSGD,
@@ -188,6 +190,32 @@ class TestScoring:
             assert s.label == original.label
             assert s.video_id == original.video_id
             assert 0.0 <= s.score <= 1.0
+
+    def test_stack_scores_as_samples_carrying_its_pixels(self, tiny_splits, tiny_model_cfg):
+        # 37 frames: two full SCORE_CHUNKs and a partial one
+        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
+        stack = np.random.default_rng(3).random((37, 16, 16, 1))
+        params = init_params(tiny_model_cfg, seed=0)
+        carried = [replace(s, pixels=p) for s, p in zip(samples, stack)]
+        want = score_samples(params, carried, tiny_model_cfg)
+        assert score_samples(params, samples, tiny_model_cfg, stack) == want
+        # the default stack is the samples' own pixels, scored chunk by chunk
+        chunks = [fake_score(forward(np.stack([s.pixels for s in carried[i:i + SCORE_CHUNK]]),
+                                     params, tiny_model_cfg)[0].data)
+                  for i in range(0, 37, SCORE_CHUNK)]
+        assert [s.score for s in want] == [float(p) for p in np.concatenate(chunks)]
+
+    def test_score_samples_of_no_samples(self, tiny_model_cfg):
+        params = init_params(tiny_model_cfg, seed=0)
+        assert score_samples(params, [], tiny_model_cfg) == []
+        assert score_samples(params, [], tiny_model_cfg, np.empty((0, 16, 16, 1))) == []
+
+    def test_score_samples_rejects_a_stack_of_another_length(self, tiny_splits,
+                                                            tiny_model_cfg):
+        params = init_params(tiny_model_cfg, seed=0)
+        for n in (3, 5, 20):
+            with pytest.raises(ValueError):
+                score_samples(params, tiny_splits.val, tiny_model_cfg, np.zeros((n, 16, 16, 1)))
 
     def test_evaluate_matches_metrics_pipeline(self, tiny_splits, tiny_model_cfg):
         from bolf.metrics import accuracy, roc_auc
