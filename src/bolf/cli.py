@@ -146,9 +146,10 @@ def _scored_rows(cfg: RunConfig, params: ModelParams
     Every protocol's first row is the clean split. ``perturbed`` follows it
     with each kind at run.level, then the three mixed suites (random kind /
     random kind+level / three kinds composed). Level 0 turns every row into
-    the identity for A/B comparison. The clean split is stacked once;
-    each perturbed row is that stack perturbed, scored as a stack against
-    the clean samples' labels and video ids.
+    the identity for A/B comparison. Each perturbed row stacks the clean
+    frames afresh for ``perturb``, so no stack outlives its row, and scores
+    the stack ``perturb`` returns against the clean samples' labels and
+    video ids.
     """
     if cfg.protocol == "cross_family":
         # The unseen-generator protocol scores the other family's test
@@ -160,8 +161,7 @@ def _scored_rows(cfg: RunConfig, params: ModelParams
         split = cfg.split
         base = load_manifest(_manifest_path(cfg), (split,)).split(split)
         family = base[0].family
-    stack = np.stack([s.pixels for s in base])
-    yield split, family, "none", 0, score_samples(params, base, cfg.model, stack)
+    yield split, family, "none", 0, score_samples(params, base, cfg.model)
     if cfg.protocol != "perturbed":
         return
     n, level = len(base), cfg.level
@@ -172,8 +172,8 @@ def _scored_rows(cfg: RunConfig, params: ModelParams
              ("rand", 0, [PerturbationSpec(k, "random" if level else 0) for k in kinds]),
              ("mix3", level, [PerturbationSpec("mix", level, mix_count=3)] * n)]
     for salt, (name, row_level, specs) in enumerate(table, start=1):
-        frames = perturb(stack, specs, [cfg.data.seed * 1_000_003 + salt * 9_973 + i
-                                        for i in range(n)])
+        frames = perturb(np.stack([s.pixels for s in base]), specs,
+                         [cfg.data.seed * 1_000_003 + salt * 9_973 + i for i in range(n)])
         scored = score_samples(params, base, cfg.model, frames)
         del frames  # released before the next row is perturbed
         yield split, family, name, row_level, scored

@@ -529,7 +529,8 @@ def gelu(x) -> Tensor:
     """Gaussian-error linear unit, exact erf form x * (0.5 * (1 + erf(x/sqrt(2)))).
 
     The normal CDF is built in one array of x's dtype, by the same ufuncs in
-    the same order as that expression; x itself is never written.
+    the same order as that expression, and when x needs no gradient the
+    output is written over that array too; x itself is never written.
     """
     x = _wrap(x)
     # out= keeps a 0-d input a 0-d array, where a bare divide would give a
@@ -543,7 +544,9 @@ def gelu(x) -> Tensor:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
         _accum(x, g * (cdf + x.data * pdf), fresh=True)
 
-    return _output(x.data * cdf, x.requires_grad, adjoint)
+    # only the adjoint reads the CDF again, so without one it takes the output
+    out = np.multiply(x.data, cdf, out=None if x.requires_grad else cdf)
+    return _output(out, x.requires_grad, adjoint)
 
 
 def dropout(x, p: float, uniforms: np.ndarray | None) -> Tensor:
