@@ -46,6 +46,12 @@ NUM_CLASSES = 2  # the paper's binary decision: 0 original, 1 manipulated
 M_TOP_PAD = -2
 TOP_PAD_BYTES = 16 << 20
 
+# OpenBLAS's thread-count calls, with "set" or "get" in the braces, under
+# the names its builds export: plain, and as numpy's and scipy's wheels
+# rename them
+OPENBLAS_THREAD_CALLS = tuple(f"{prefix}openblas_{{}}_num_threads{suffix}"
+                              for prefix in ("", "scipy_") for suffix in ("", "64_"))
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -90,10 +96,6 @@ class ModelConfig:
     @property
     def patch_len(self) -> int:
         return self.patch_size * self.patch_size * self.channels
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
 
 
 def patchify(image, config: ModelConfig) -> np.ndarray:
@@ -338,6 +340,42 @@ def _keep_freed_memory() -> None:
         ctypes.CDLL(None).mallopt(M_TOP_PAD, TOP_PAD_BYTES)
     except (OSError, AttributeError, TypeError):
         pass
+
+
+@functools.cache
+def _single_thread_blas() -> bool:
+    """Set every OpenBLAS loaded in the process, once per process, to run
+    its kernels on the calling thread alone, and report whether that held
+    for at least one of them and failed for none. On two cores, OpenBLAS's
+    own second thread and a second scoring thread fight over the same core:
+    two scoring threads with OpenBLAS at two threads each score slower than
+    one thread does. The libraries are found in ``/proc/self/maps``, so
+    this is Linux only; elsewhere, or with no OpenBLAS loaded, nothing is
+    changed and the answer is False."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return False
+    pinned = 0
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return False
+        for name in OPENBLAS_THREAD_CALLS:
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter(1)
+                if getter() != 1:
+                    return False
+                pinned += 1
+                break
+        else:
+            return False
+    return pinned > 0
 
 
 def forward(images, params: ModelParams, config: ModelConfig,

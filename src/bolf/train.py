@@ -3,13 +3,17 @@ per-step cosine-annealed learning rate."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import ScoredSample, accuracy, roc_auc
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelConfig, ModelParams, _single_thread_blas, forward
 from .tensor import NumericError, Tape, Tensor, backward, exp, log, matmul, reshape, sum_all
 
 # Training computes in float32. init_params and ModelParams.from_arrays
@@ -18,8 +22,13 @@ from .tensor import NumericError, Tape, Tensor, backward, exp, log, matmul, resh
 TRAIN_DTYPE = np.float32
 
 # Frames per eval-mode forward pass in score_samples. Every scorer uses the
-# same chunks, so a frame's score does not depend on which command made it.
+# same chunks, so a frame's score does not depend on which command made it
+# or on which thread of the scoring pool ran its chunk.
 SCORE_CHUNK = 16
+
+# Scoring threads at most. Each chunk in flight holds about 4 MB of float64
+# activations, and the machines bolf targets have two cores.
+SCORE_WORKERS = 2
 
 
 class NonFiniteLoss(NumericError):
@@ -134,25 +143,51 @@ def fake_score(logits: np.ndarray) -> np.ndarray:
     return e[..., 1] / e.sum(axis=-1)
 
 
+@functools.cache
+def _score_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that score_samples runs its forwards on.
+
+    It has SCORE_WORKERS threads, but no more than the cores this process
+    may run on, once every loaded OpenBLAS runs on one thread for the rest
+    of the process (:func:`bolf.model._single_thread_blas`). Where that
+    cannot be done it has one thread, which scores the chunks one after
+    another, as a plain loop would.
+    """
+    workers = (min(SCORE_WORKERS, len(os.sched_getaffinity(0)))
+               if _single_thread_blas() else 1)
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bolf-score")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads, so it makes its own
+    os.register_at_fork(after_in_child=_score_pool.cache_clear)
+
+
 def score_samples(params: ModelParams, samples, config: ModelConfig,
                   pixels: np.ndarray | None = None) -> list[ScoredSample]:
     """Eval-mode scores for a list of image samples, in order, from
     batched forward passes over SCORE_CHUNK-frame views of one
-    (N, H, W, C) stack.
+    (N, H, W, C) stack, run on the scoring pool's threads (``_score_pool``).
 
     ``pixels`` is that stack, one frame per sample, frame i scored with
     ``samples[i]``'s label and video id; by default it is the samples' own
-    pixels, stacked once. A stack of another length is a ValueError.
+    pixels, stacked once. A stack of another length is a ValueError,
+    raised before any forward runs. An error raised by a chunk's forward
+    comes out of this call.
     """
     if pixels is None:
         # np.stack needs a frame; no samples are an empty stack
         pixels = np.stack([s.pixels for s in samples]) if samples else np.empty(0)
-    scores = []
-    for start in range(0, len(pixels), SCORE_CHUNK):
+    elif len(pixels) != len(samples):
+        raise ValueError(f"{len(pixels)} frames to score for {len(samples)} samples")
+
+    def chunk_scores(start: int) -> np.ndarray:
         logits, _ = forward(pixels[start:start + SCORE_CHUNK], params, config)
-        scores.extend(fake_score(logits.data))
+        return fake_score(logits.data)
+
+    scores = _score_pool().map(chunk_scores, range(0, len(pixels), SCORE_CHUNK))
     return [ScoredSample(float(p), s.label, s.video_id)
-            for p, s in zip(scores, samples, strict=True)]
+            for p, s in zip(itertools.chain.from_iterable(scores), samples)]
 
 
 def evaluate(params: ModelParams, samples, config: ModelConfig,

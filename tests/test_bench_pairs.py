@@ -77,7 +77,8 @@ def test_pairs_json_holds_every_run_and_each_metric(monkeypatch, tmp_path):
         frames = 100.0 + seed if tree.name == "parent" else 120.0 + seed
         return {"correct": True, "failed": 0, "machine": machine,
                 "metrics": {"frames_per_s": {"value": frames},
-                            "op_ms_p90": {"value": 1000.0 / frames}}}, 7
+                            "op_ms_p90": {"value": 1000.0 / frames}}}, \
+            {"minflt": 7, "cpu_s": 2.5, "wall_frames_per_s": frames / 2}
 
     monkeypatch.setattr(bench_pairs, "git", fake_git)
     monkeypatch.setattr(bench_pairs, "export", fake_export)
@@ -98,7 +99,9 @@ def test_pairs_json_holds_every_run_and_each_metric(monkeypatch, tmp_path):
         assert [r["seed"] for r in runs] == [5, 6, 7]
         assert all(r["ok"] and r["machine"] == machine for r in runs)
         assert [r["figures"]["frames_per_s"] for r in runs] == [base + 5, base + 6, base + 7]
-        assert all(r["figures"]["minflt"] == 7 for r in runs)
+        assert all(r["figures"]["minflt"] == 7 and r["figures"]["cpu_s"] == 2.5 for r in runs)
+        assert [r["figures"]["wall_frames_per_s"] for r in runs] == \
+               [(base + 5) / 2, (base + 6) / 2, (base + 7) / 2]
     frames = explain["metrics"]["frames_per_s"]
     assert frames.keys() == {"parent_median", "parent_q1", "parent_q3", "change_median",
                              "change_pct", "wins", "pairs", "bound", "verdict"}
@@ -115,3 +118,19 @@ def test_a_result_keeps_its_machine_line(monkeypatch, tmp_path):
                         subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr=""))
     result, _ = bench_pairs.run_once(tmp_path, "explain", 1, 1.0)
     assert result["machine"] == {"nproc": 2}
+
+
+def test_a_run_keeps_its_wall_figures_and_cpu_seconds(monkeypatch, tmp_path):
+    summary = ("eval: 7 timed rounds, 56 operations, scaled set-ups 0.455, 0.460 s; "
+               "in wall time: setup_s 0.512, frames_per_s 3408.2, op_ms_p90 294.1; "
+               "yardstick 13.05 ms (nominal 12.0); phase s warm-up 0.4, timed 20.1")
+    stdout = ('machine {"nproc": 2}\n' + summary + "\n"
+              + json.dumps({"correct": True, "failed": 0, "metrics": {}}) + "\n")
+    usage = iter([(100, 1.0), (350, 4.5)])
+    monkeypatch.setattr(bench_pairs, "_usage", lambda: next(usage))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs:
+                        subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr=""))
+    _, own = bench_pairs.run_once(tmp_path, "eval", 1, 1.0)
+    assert own == {"minflt": 250, "cpu_s": 3.5, "wall_frames_per_s": 3408.2,
+                   "wall_op_ms_p90": 294.1, "yardstick_ms": 13.05}
+    assert bench_pairs.wall_figures(["explain: 2 timed rounds"]) == {}

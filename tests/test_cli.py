@@ -7,6 +7,7 @@ rollout, determinism, and exit-code tests all work against it.
 import builtins
 import csv
 import ctypes
+import importlib
 import io
 import os
 import platform
@@ -29,7 +30,7 @@ from bolf.data import (PERTURBATION_KINDS, DatasetSpec, FormatError, Perturbatio
                        write_ppm)
 from bolf.metrics import accuracy, roc_auc, video_level
 from bolf.model import ModelConfig, ModelParams, forward, init_params
-from bolf.tensor import Tensor, mul, sum_all
+from bolf.tensor import NumericError, Tensor, mul, sum_all
 from bolf.train import score_samples
 from bolf.weights import load_weights, save_weights
 
@@ -368,6 +369,15 @@ class TestExitCodes:
                      "--set", f"run.weights_out={weights}"]) == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
         assert not weights.exists()
+
+    def test_numeric_error_while_scoring_exits_numeric(self, ws, capsys, monkeypatch):
+        # fault injection: every forward on the scoring pool fails
+        def failing(*args, **kwargs):
+            raise NumericError("layer_norm variance is not finite")
+
+        monkeypatch.setattr(importlib.import_module("bolf.train"), "forward", failing)
+        assert main(["eval", "--config", ws["cfg"], "--out", str(ws["out"])]) == EXIT_NUMERIC
+        assert "numeric failure: layer_norm variance" in capsys.readouterr().err
 
     def test_layer_norm_overflow_exits_numeric(self, ws, tmp_path, capsys):
         # a runaway step overflows layer_norm's float32 variance while the

@@ -1,15 +1,19 @@
 """Tests for the patch-bag encoder: geometry, initialization, forward
 invariants, a hand-computed attention oracle, and attention rollout."""
 
+import ctypes
 import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import bolf.model as model_module
 from bolf.model import (
     NUM_CLASSES,
+    OPENBLAS_THREAD_CALLS,
     ModelConfig,
     ModelParams,
     attention_rollout,
@@ -39,7 +43,6 @@ class TestModelConfig:
         assert (cfg.grid_rows, cfg.grid_cols) == (4, 4)
         assert cfg.num_patches == 16
         assert cfg.patch_len == 64
-        assert cfg.head_dim == 16
 
     def test_patch_must_tile_image(self):
         with pytest.raises(ValueError):
@@ -605,3 +608,39 @@ class TestHeatmap:
     def test_mask_shape_validated(self):
         with pytest.raises(ShapeMismatch):
             heatmap_mask_mass(np.full(16, 1 / 16), np.zeros((8, 8), bool), ModelConfig())
+
+
+def _numpys_blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports, or None if numpy's BLAS
+    is not an OpenBLAS found in /proc/self/maps."""
+    with open("/proc/self/maps") as maps:
+        path = next((line.split(maxsplit=5)[-1].strip() for line in maps
+                     if "numpy" in line and "openblas" in line.lower()), None)
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)
+    return next(getattr(lib, name.format("get"))() for name in OPENBLAS_THREAD_CALLS
+                if hasattr(lib, name.format("get")))
+
+
+class TestSingleThreadBlas:
+    """score_samples runs two scoring threads only once every loaded
+    OpenBLAS runs its kernels on the calling thread."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_pins_numpys_openblas_to_one_thread(self):
+        if _numpys_blas_threads() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert model_module._single_thread_blas()
+        assert _numpys_blas_threads() == 1
+
+    def test_unreadable_maps_pin_nothing(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise OSError("no /proc")
+
+        model_module._single_thread_blas.cache_clear()
+        monkeypatch.setattr(model_module, "open", unreadable, raising=False)
+        try:
+            assert model_module._single_thread_blas() is False
+        finally:
+            model_module._single_thread_blas.cache_clear()

@@ -6,15 +6,17 @@ momentum steps under a constant gradient displace by 2.9 * lr * g.
 
 import importlib
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bolf.model import ModelConfig, ModelParams, forward, init_params
-from bolf.tensor import Tape, Tensor, backward, grad_check, mul, sum_all
+from bolf.tensor import NumericError, Tape, Tensor, backward, grad_check, mul, sum_all
 from bolf.train import (
     SCORE_CHUNK,
+    SCORE_WORKERS,
     TRAIN_DTYPE,
     EpochStats,
     MomentumSGD,
@@ -173,6 +175,45 @@ class TestTrainConfigValidation:
             TrainConfig(**kwargs)
 
 
+train_module = importlib.import_module("bolf.train")
+
+
+@pytest.fixture
+def fresh_pool():
+    """score_samples builds its pool afresh in the test, and the test's
+    pool is shut down after it."""
+    def drop():
+        if train_module._score_pool.cache_info().currsize:
+            train_module._score_pool().shutdown()
+        train_module._score_pool.cache_clear()
+    drop()
+    yield
+    drop()
+
+
+def _threads_of_forward(monkeypatch, fail_at=None) -> list[threading.Thread]:
+    """Wrap train's forward so that it notes the thread of each call, and
+    raises a NumericError on the chunk whose first frame is ``fail_at``."""
+    threads = []
+    real = train_module.forward
+
+    def noting(pixels, *args, **kwargs):
+        threads.append(threading.current_thread())
+        if fail_at is not None and np.array_equal(pixels[0], fail_at):
+            raise NumericError("layer_norm variance is not finite")
+        return real(pixels, *args, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", noting)
+    return threads
+
+
+def _serial_scores(params, config, stack) -> list[float]:
+    """The stack's scores from one forward per chunk, on this thread."""
+    chunks = [fake_score(forward(stack[i:i + SCORE_CHUNK], params, config)[0].data)
+              for i in range(0, len(stack), SCORE_CHUNK)]
+    return [float(p) for p in np.concatenate(chunks)]
+
+
 class TestScoring:
     def test_fake_score_is_softmax_of_class_one(self):
         assert fake_score(np.array([math.log(1.0), math.log(3.0)])) == pytest.approx(0.75)
@@ -205,17 +246,54 @@ class TestScoring:
                   for i in range(0, 37, SCORE_CHUNK)]
         assert [s.score for s in want] == [float(p) for p in np.concatenate(chunks)]
 
+    def test_pool_scores_more_chunks_than_workers_as_serial_forwards(
+            self, tiny_splits, tiny_model_cfg, monkeypatch):
+        # 37 frames: three chunks on at most two threads, scored in order
+        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
+        stack = np.random.default_rng(4).random((37, 16, 16, 1))
+        params = init_params(tiny_model_cfg, seed=0)
+        threads = _threads_of_forward(monkeypatch)
+        scored = score_samples(params, samples, tiny_model_cfg, stack)
+        assert [s.score for s in scored] == _serial_scores(params, tiny_model_cfg, stack)
+        assert [(s.label, s.video_id) for s in scored] == \
+               [(s.label, s.video_id) for s in samples]
+        assert len(threads) == 3
+        assert threading.current_thread() not in threads
+        assert len(set(threads)) <= SCORE_WORKERS
+
+    def test_numeric_error_in_one_chunk_comes_out(self, tiny_splits, tiny_model_cfg,
+                                                  monkeypatch):
+        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
+        stack = np.random.default_rng(5).random((37, 16, 16, 1))
+        _threads_of_forward(monkeypatch, fail_at=stack[SCORE_CHUNK])
+        with pytest.raises(NumericError, match="layer_norm"):
+            score_samples(init_params(tiny_model_cfg, seed=0), samples, tiny_model_cfg, stack)
+
+    def test_without_a_pinned_blas_one_thread_scores_the_same(
+            self, tiny_splits, tiny_model_cfg, fresh_pool, monkeypatch):
+        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
+        stack = np.random.default_rng(6).random((37, 16, 16, 1))
+        params = init_params(tiny_model_cfg, seed=0)
+        monkeypatch.setattr(train_module, "_single_thread_blas", lambda: False)
+        threads = _threads_of_forward(monkeypatch)
+        scored = score_samples(params, samples, tiny_model_cfg, stack)
+        assert [s.score for s in scored] == _serial_scores(params, tiny_model_cfg, stack)
+        assert train_module._score_pool()._max_workers == 1
+        assert len(threads) == 3 and len(set(threads)) == 1
+
     def test_score_samples_of_no_samples(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)
         assert score_samples(params, [], tiny_model_cfg) == []
         assert score_samples(params, [], tiny_model_cfg, np.empty((0, 16, 16, 1))) == []
 
     def test_score_samples_rejects_a_stack_of_another_length(self, tiny_splits,
-                                                            tiny_model_cfg):
+                                                            tiny_model_cfg, monkeypatch):
         params = init_params(tiny_model_cfg, seed=0)
+        threads = _threads_of_forward(monkeypatch)
         for n in (3, 5, 20):
             with pytest.raises(ValueError):
                 score_samples(params, tiny_splits.val, tiny_model_cfg, np.zeros((n, 16, 16, 1)))
+        assert threads == []  # no forward ran
 
     def test_evaluate_matches_metrics_pipeline(self, tiny_splits, tiny_model_cfg):
         from bolf.metrics import accuracy, roc_auc
@@ -314,7 +392,6 @@ class TestTrainLoop:
                                          quick_cfg, monkeypatch):
         # fault injection: force an infinite loss and check it surfaces as
         # NonFiniteLoss with context, not as a silent divergence
-        train_module = importlib.import_module("bolf.train")
         monkeypatch.setattr(train_module, "cross_entropy",
                             lambda logits, label: Tensor(float("inf")))
         params = init_params(tiny_model_cfg, seed=0)
@@ -326,7 +403,6 @@ class TestTrainLoop:
         # fault injection: a finite loss whose backward leaves a NaN in one
         # gradient must stop training before the update, naming the
         # parameter, instead of surfacing steps later in some other op
-        train_module = importlib.import_module("bolf.train")
         params = init_params(tiny_model_cfg, seed=0)
         # train casts the parameters to float32 before its first step
         before = params.layers[0].wv.data.astype(np.float32)
@@ -368,7 +444,6 @@ class TestTrainingDtype:
             assert np.array_equal(t.data, want)
 
     def test_one_step_is_float32_throughout(self, tiny_splits, tiny_model_cfg, monkeypatch):
-        train_module = importlib.import_module("bolf.train")
         real_forward, real_loss, real_step = (train_module.forward, train_module.cross_entropy,
                                               MomentumSGD.step)
         seen = {"forward": [], "loss": [], "grad": [], "velocity": []}
@@ -472,7 +547,6 @@ class TestFlatBuffers:
         ref_velocities, ref_history = _per_tensor_train(ref_params, tiny_splits, cfg,
                                                         tiny_model_cfg)
 
-        train_module = importlib.import_module("bolf.train")
         made = []
 
         class Recorded(MomentumSGD):

@@ -14,8 +14,13 @@ are printed as it ends; then, per workload and metric, the parent's median
 and Q1-Q3, the change's median, the relative change, in how many pairs the
 change was better (ties count for neither) and a verdict: "gain", "worse"
 (beyond the metric's bound) or "unresolved" (see ``compare``). Each
-run's minor page faults (the child's ``ru_minflt``) are printed with its
-figures, and each side's median with the summary.
+run's own figures are printed with its metrics, and each side's median
+with the summary: the child's minor page faults (``ru_minflt``) and CPU
+seconds (user plus system), and, from perfbench's summary line, the
+unscaled wall-time ``frames_per_s`` and ``op_ms_p90`` and the yardstick's
+median time. A change that puts a second core to work shows in the CPU
+seconds, and one that slows or speeds the yardstick shows in the wall-time
+figures, which it does not scale.
 
 The same figures go to DIR/pairs.json: both revisions, the run length,
 and per workload the seeds, every run's figures with the ``machine``
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import resource
 import shutil
 import statistics
@@ -38,6 +44,17 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# perfbench/run.py's summary line: "...; in wall time: setup_s S, frames_per_s F,
+# op_ms_p90 P; yardstick Y ms (nominal N); ..."
+WALL_LINE = re.compile(r"in wall time: setup_s [\d.]+, "
+                       r"frames_per_s (?P<wall_frames_per_s>[\d.]+), "
+                       r"op_ms_p90 (?P<wall_op_ms_p90>[\d.]+); "
+                       r"yardstick (?P<yardstick_ms>[\d.]+) ms")
+
+# the figures of a run that run_once takes besides its metrics, in the
+# order the summary prints their medians
+OWN_FIGURES = ("minflt", "cpu_s", "wall_frames_per_s", "wall_op_ms_p90", "yardstick_ms")
 
 
 def git(*args: str) -> str:
@@ -54,29 +71,44 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
+def wall_figures(lines: list[str]) -> dict[str, float]:
+    """The wall-time ``frames_per_s`` and ``op_ms_p90`` and the yardstick's
+    median ms from perfbench/run.py's summary line, as ``wall_frames_per_s``,
+    ``wall_op_ms_p90`` and ``yardstick_ms``; empty without such a line."""
+    match = next(filter(None, map(WALL_LINE.search, lines)), None)
+    return {k: float(v) for k, v in match.groupdict().items()} if match else {}
+
+
+def _usage() -> tuple[int, float]:
+    """Minor page faults and CPU seconds of the waited-for children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_minflt, usage.ru_utime + usage.ru_stime
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """perfbench/run.py's result object (its last line of output), with the
-    record of its ``machine`` line under "machine", and the minor page
-    faults the run took. A run that fails, or whose last line is not a
-    result object, gives a result that is not correct and has no
-    metrics."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    record of its ``machine`` line under "machine", and the run's own
+    figures: the minor page faults and CPU seconds it took, and its
+    ``wall_figures``. A run that fails, or whose last line is not a result
+    object, gives a result that is not correct and has no metrics."""
+    minflt, cpu_s = _usage()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
-    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    after = _usage()
     lines = done.stdout.strip().splitlines()
+    own = {"minflt": after[0] - minflt, "cpu_s": after[1] - cpu_s} | wall_figures(lines)
     try:
         result = json.loads(lines[-1]) if lines and not done.returncode else None
     except json.JSONDecodeError:
         result = None
     if not (isinstance(result, dict) and {"correct", "failed", "metrics"} <= result.keys()):
         sys.stderr.write(done.stderr)
-        return {"correct": False, "failed": None, "metrics": {}}, minflt
+        return {"correct": False, "failed": None, "metrics": {}}, own
     machine = next((json.loads(line.split(" ", 1)[1]) for line in lines
                     if line.startswith("machine ")), None)
-    return result | {"machine": machine}, minflt
+    return result | {"machine": machine}, own
 
 
 def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
@@ -145,17 +177,16 @@ def main(argv=None) -> int:
     for workload in workloads:
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result, minflt = run_once(trees[side], workload, seed, seconds)
-                values = {k: v["value"] for k, v in result["metrics"].items()}
+                result, own = run_once(trees[side], workload, seed, seconds)
+                values = {k: v["value"] for k, v in result["metrics"].items()} | own
                 ok = result["correct"] and result["failed"] == 0
                 faults += not ok
                 runs[workload][side].append({
-                    "seed": seed, "ok": ok, "figures": values | {"minflt": minflt},
+                    "seed": seed, "ok": ok, "figures": values,
                     "machine": result.get("machine")})
                 print(f"{workload} seed {seed} {side}: "
                       + ("ok " if ok else "FAULT ")
-                      + " ".join(f"{k} {v:.4g}" for k, v in values.items())
-                      + f" minflt {minflt}", flush=True)
+                      + " ".join(f"{k} {v:.4g}" for k, v in values.items()), flush=True)
 
     print(f"\n{args.pairs} pairs per workload, {seconds:g} s each; "
           f"parent {args.parent}, change {args.change}")
@@ -172,9 +203,11 @@ def main(argv=None) -> int:
             if pairs:
                 compared[name] = compare(metric, [p for p, _ in pairs], [c for _, c in pairs])
                 print(summary(name, compared[name]))
-        print("  minor faults  " + "  ".join(
-            f"{side} {statistics.median(f['minflt'] for f in figures[side]):.0f}"
-            for side in SIDES))
+        for name in OWN_FIGURES:
+            if all(name in f for side in SIDES for f in figures[side]):
+                print(f"  {name:17s} " + "  ".join(
+                    f"{side} {statistics.median(f[name] for f in figures[side]):.4g}"
+                    for side in SIDES))
         record["workloads"][workload] = {"seeds": seeds, "runs": runs[workload],
                                          "metrics": compared}
     (work / "pairs.json").write_text(json.dumps(record, indent=1) + "\n")
