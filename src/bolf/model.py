@@ -42,8 +42,10 @@ from .tensor import (
 
 NUM_CLASSES = 2  # the paper's binary decision: 0 original, 1 manipulated
 
-# glibc's mallopt parameter for the free space kept at the top of the heap
+# glibc's mallopt parameters for the free space kept at the top of the
+# heap, and for the request size from which a block is mapped on its own
 M_TOP_PAD = -2
+M_MMAP_THRESHOLD = -3
 TOP_PAD_BYTES = 16 << 20
 
 # OpenBLAS's thread-count calls, with "set" or "get" in the braces, under
@@ -332,12 +334,19 @@ def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
 @functools.cache
 def _keep_freed_memory() -> None:
     """Ask glibc, once per process, to keep 16 MiB of freed memory at the
-    top of the heap. A float64 forward frees about 2 MB there, above the
-    threshold at which glibc returns it to the kernel, so without the pad
-    every forward faults the same pages back in. Where the C library has
-    no mallopt (macOS, Windows) nothing is changed."""
+    top of the heap, and to take every request smaller than that from the
+    heap, not from a mapping of its own. A float64 forward frees about
+    2 MB there, above the threshold at which glibc returns it to the
+    kernel, so without the pad every forward faults the same pages back
+    in. The threshold matters on the scoring threads: a thread's heap made
+    before the pad was set (by a thread the caller ran first) has none, and
+    each of a forward's larger arrays would be mapped, faulted in and
+    unmapped again. Where the C library has no mallopt (macOS, Windows)
+    nothing is changed."""
     try:
-        ctypes.CDLL(None).mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+        libc = ctypes.CDLL(None)
+        libc.mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+        libc.mallopt(M_MMAP_THRESHOLD, TOP_PAD_BYTES)
     except (OSError, AttributeError, TypeError):
         pass
 

@@ -134,7 +134,9 @@ class Tape:
         backward(loss, tape)
 
     Tapes nest; only the innermost active tape records. A tape belongs to
-    the thread that opened it (the active-tape stack is thread-local).
+    the thread that opened it (the active-tape stack is thread-local), so
+    the forwards that ``bolf.train.score_samples`` runs on its pool's
+    threads never record on the caller's tape.
     """
 
     def __init__(self):

@@ -583,6 +583,29 @@ for _ in range(20):
 print("bolf.cli" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
+# A caller whose own threads made their heaps before bolf's first call,
+# then 128-frame scoring calls on bolf's pool, which takes over those heaps
+SCORING_ON_EARLIER_HEAPS = """
+import resource
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+with ThreadPoolExecutor(2) as pool:
+    list(pool.map(lambda _: sum(np.ones((17, 64)).sum() for _ in range(5000)), range(8)))
+from bolf.data import DatasetSpec, build_split
+from bolf.model import ModelConfig, ModelParams, init_params
+from bolf.train import score_samples
+cfg = ModelConfig()
+params = ModelParams.from_arrays(
+    cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()}, requires_grad=False)
+samples = build_split(DatasetSpec(test_count=64), "test")
+for _ in range(3):
+    score_samples(params, samples, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    score_samples(params, samples, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
 
 def _raising(exc):
     def cdll(name):
@@ -629,6 +652,16 @@ class TestKeepFreedMemory:
         assert cli_loaded == "False"
         # 12,900 when glibc trims the heap after every forward
         assert int(faults) < 50
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_scoring_threads_on_earlier_heaps_fault_no_pages_back_in(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", SCORING_ON_EARLIER_HEAPS],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # about 8,900 when each forward's larger arrays are mapped afresh
+        assert int(done.stdout) < 100
 
     @pytest.mark.parametrize("cdll", [
         pytest.param(lambda name: object(), id="no-mallopt"),
