@@ -367,7 +367,6 @@ def _single_thread_blas() -> bool:
                             if "openblas" in line.lower()})
     except OSError:
         return False
-    pinned = 0
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -377,14 +376,15 @@ def _single_thread_blas() -> bool:
             setter = getattr(lib, name.format("set"), None)
             getter = getattr(lib, name.format("get"), None)
             if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter(1)
                 if getter() != 1:
                     return False
-                pinned += 1
                 break
         else:
             return False
-    return pinned > 0
+    return bool(paths)
 
 
 def forward(images, params: ModelParams, config: ModelConfig,

@@ -6,8 +6,12 @@ momentum steps under a constant gradient displace by 2.9 * lr * g.
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,24 @@ def _threads_of_forward(monkeypatch, fail_at=None) -> list[threading.Thread]:
     return threads
 
 
+# scores in a child forked after the parent's pool had run, which must
+# make a pool of its own: the parent's threads do not exist in the child
+FORK_AFTER_SCORING = """
+import os
+from bolf.data import DatasetSpec, build_split
+from bolf.model import ModelConfig, init_params
+from bolf.train import score_samples
+cfg = ModelConfig(height=16, width=16, patch_size=8, dim=8, depth=1, heads=2, mlp_ratio=2)
+params = init_params(cfg, seed=0)
+samples = build_split(DatasetSpec(test_count=40, height=16, width=16), "test")
+want = score_samples(params, samples, cfg)
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if score_samples(params, samples, cfg) == want else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
 def _serial_scores(params, config, stack) -> list[float]:
     """The stack's scores from one forward per chunk, on this thread."""
     chunks = [fake_score(forward(stack[i:i + SCORE_CHUNK], params, config)[0].data)
@@ -268,6 +290,15 @@ class TestScoring:
         _threads_of_forward(monkeypatch, fail_at=stack[SCORE_CHUNK])
         with pytest.raises(NumericError, match="layer_norm"):
             score_samples(init_params(tiny_model_cfg, seed=0), samples, tiny_model_cfg, stack)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_scores_on_a_pool_of_its_own(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", FORK_AFTER_SCORING],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
 
     def test_without_a_pinned_blas_one_thread_scores_the_same(
             self, tiny_splits, tiny_model_cfg, fresh_pool, monkeypatch):
