@@ -36,7 +36,6 @@ from .metrics import ScoredSample, UndefinedMetric, accuracy, roc_auc, video_lev
 from .model import (
     ModelConfig,
     ModelParams,
-    _keep_freed_memory,
     attention_rollout,
     forward,
     heatmap_to_image,
@@ -306,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_memory()  # forward sets it too, but gen-data runs no forward
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.seed, args.out)

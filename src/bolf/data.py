@@ -94,6 +94,8 @@ class DatasetSpec:
             raise ValueError(f"channels must be 1 or 3, got {self.channels}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**32:  # _rng keeps 32 bits: seed 2**32 would be seed 0
+            raise ValueError(f"data seed must be < 2**32, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,9 @@ _TAMPER_STYLES = ("warp", "texture_sub", "color_shift", "patch_blend")
 
 
 def _rng(*keys) -> np.random.Generator:
-    """Generator derived stably from a mix of ints and strings."""
+    """Generator derived stably from a mix of ints and strings, each int
+    reduced to its low 32 bits: ``perturb``'s per-frame seeds among them,
+    which pass 2**32 from ``data.seed = 4295`` on."""
     entropy = [k if isinstance(k, (int, np.integer)) else zlib.crc32(str(k).encode())
                for k in keys]
     return np.random.default_rng(np.random.SeedSequence([int(k) & 0xFFFFFFFF for k in entropy]))

@@ -17,8 +17,6 @@ needs to attribute the decision back to patches.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -41,19 +39,6 @@ from .tensor import (
 )
 
 NUM_CLASSES = 2  # the paper's binary decision: 0 original, 1 manipulated
-
-# glibc's mallopt parameters for the free space kept at the top of the
-# heap, and for the request size from which a block is mapped on its own
-M_TOP_PAD = -2
-M_MMAP_THRESHOLD = -3
-TOP_PAD_BYTES = 16 << 20
-
-# OpenBLAS's thread-count calls, with "set" or "get" in the braces, under
-# the names its builds export: plain, and as numpy's and scipy's wheels
-# rename them
-OPENBLAS_THREAD_CALLS = tuple(f"{prefix}openblas_{{}}_num_threads{suffix}"
-                              for prefix in ("", "scipy_") for suffix in ("", "64_"))
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -331,62 +316,6 @@ def encoder_block(z: Tensor, layer: LayerParams, config: ModelConfig,
     return (matmul(h, layer.mlp_w2) + layer.mlp_b2) + z, attn
 
 
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Ask glibc, once per process, to keep 16 MiB of freed memory at the
-    top of the heap, and to take every request smaller than that from the
-    heap, not from a mapping of its own. A float64 forward frees about
-    2 MB there, above the threshold at which glibc returns it to the
-    kernel, so without the pad every forward faults the same pages back
-    in. The threshold matters on the scoring threads: a thread's heap made
-    before the pad was set (by a thread the caller ran first) has none, and
-    each of a forward's larger arrays would be mapped, faulted in and
-    unmapped again. Where the C library has no mallopt (macOS, Windows)
-    nothing is changed."""
-    try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt(M_TOP_PAD, TOP_PAD_BYTES)
-        libc.mallopt(M_MMAP_THRESHOLD, TOP_PAD_BYTES)
-    except (OSError, AttributeError, TypeError):
-        pass
-
-
-@functools.cache
-def _single_thread_blas() -> bool:
-    """Set every OpenBLAS loaded in the process, once per process, to run
-    its kernels on the calling thread alone, and report whether that held
-    for at least one of them and failed for none. On two cores, OpenBLAS's
-    own second thread and a second scoring thread fight over the same core:
-    two scoring threads with OpenBLAS at two threads each score slower than
-    one thread does. The libraries are found in ``/proc/self/maps``, so
-    this is Linux only; elsewhere, or with no OpenBLAS loaded, nothing is
-    changed and the answer is False."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
-                            if "openblas" in line.lower()})
-    except OSError:
-        return False
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            return False
-        for name in OPENBLAS_THREAD_CALLS:
-            setter = getattr(lib, name.format("set"), None)
-            getter = getattr(lib, name.format("get"), None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter(1)
-                if getter() != 1:
-                    return False
-                break
-        else:
-            return False
-    return bool(paths)
-
-
 def forward(images, params: ModelParams, config: ModelConfig,
             train: bool = False,
             rng: np.random.Generator | None = None,
@@ -420,11 +349,7 @@ def forward(images, params: ModelParams, config: ModelConfig,
     does not depend on how the images are batched. Block i < depth - 1
     takes rows ``[i * tokens, (i + 1) * tokens)``; the last block, whose
     MLP runs on the class-token row only, takes the final row.
-
-    The first forward in a process sets the allocator's heap pad
-    (:func:`_keep_freed_memory`), whoever calls it.
     """
-    _keep_freed_memory()
     pixels = np.asarray(images, dtype=params.patch_w.data.dtype)
     single = pixels.ndim == 3
     if single:

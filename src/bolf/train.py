@@ -3,6 +3,7 @@ per-step cosine-annealed learning rate."""
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import ScoredSample, accuracy, roc_auc
-from .model import ModelConfig, ModelParams, _single_thread_blas, forward
+from .model import ModelConfig, ModelParams, forward
 from .tensor import NumericError, Tape, Tensor, backward, exp, log, matmul, reshape, sum_all
 
 # Training computes in float32. init_params and ModelParams.from_arrays
@@ -29,6 +30,18 @@ SCORE_CHUNK = 16
 # Scoring threads at most. Each chunk in flight holds about 4 MB of float64
 # activations, and the machines bolf targets have two cores.
 SCORE_WORKERS = 2
+
+# glibc's mallopt parameters for the free space kept at the top of the
+# heap, and for the request size from which a block is mapped on its own
+M_TOP_PAD = -2
+M_MMAP_THRESHOLD = -3
+TOP_PAD_BYTES = 16 << 20
+
+# OpenBLAS's thread-count calls, with "set" or "get" in the braces, under
+# the names its builds export: plain, and as numpy's and scipy's wheels
+# rename them
+OPENBLAS_THREAD_CALLS = tuple(f"{prefix}openblas_{{}}_num_threads{suffix}"
+                              for prefix in ("", "scipy_") for suffix in ("", "64_"))
 
 
 class NonFiniteLoss(NumericError):
@@ -143,18 +156,77 @@ def fake_score(logits: np.ndarray) -> np.ndarray:
     return e[..., 1] / e.sum(axis=-1)
 
 
+def _keep_freed_memory() -> None:
+    """Ask glibc to keep 16 MiB of freed memory at the top of the heap,
+    and to take every request smaller than that from the heap, not from a
+    mapping of its own. A float64 forward frees about 2 MB there, above
+    the threshold at which glibc returns it to the kernel, so without the
+    pad every forward faults the same pages back in. The threshold matters
+    on the scoring threads: a thread's heap made before the pad was set
+    (by a thread the caller ran first) has none, and each of a forward's
+    larger arrays would be mapped, faulted in and unmapped again. Where
+    the C library has no mallopt (macOS, Windows) nothing is changed."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+        libc.mallopt(M_MMAP_THRESHOLD, TOP_PAD_BYTES)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+def _single_thread_blas() -> bool:
+    """Set every OpenBLAS loaded in the process to run its kernels on the
+    calling thread alone, and report whether that held for at least one
+    of them and failed for none. On two cores, OpenBLAS's own second
+    thread and a second scoring thread fight over the same core: two
+    scoring threads with OpenBLAS at two threads each score slower than
+    one thread does. The libraries are found in ``/proc/self/maps``, so
+    this is Linux only; elsewhere, or with no OpenBLAS loaded, nothing is
+    changed and the answer is False."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return False
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return False
+        for name in OPENBLAS_THREAD_CALLS:
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(1)
+                if getter() != 1:
+                    return False
+                break
+        else:
+            return False
+    return bool(paths)
+
+
+# Both settings hold for the whole process from the first import of bolf,
+# whose package imports this module after bolf.tensor has loaded numpy's
+# and scipy's OpenBLAS.
+_keep_freed_memory()
+BLAS_PINNED = _single_thread_blas()
+
+
 @functools.cache
 def _score_pool() -> ThreadPoolExecutor:
     """The process-wide pool that score_samples runs its forwards on.
 
     It has SCORE_WORKERS threads, but no more than the cores this process
-    may run on, once every loaded OpenBLAS runs on one thread for the rest
-    of the process (:func:`bolf.model._single_thread_blas`). Where that
-    cannot be done it has one thread, which scores the chunks one after
-    another, as a plain loop would.
+    may run on, if every loaded OpenBLAS was pinned to one thread on
+    import (``BLAS_PINNED``). Where that could not be done it has one
+    thread, which scores the chunks one after another, as a plain loop
+    would.
     """
-    workers = (min(SCORE_WORKERS, len(os.sched_getaffinity(0)))
-               if _single_thread_blas() else 1)
+    workers = min(SCORE_WORKERS, len(os.sched_getaffinity(0))) if BLAS_PINNED else 1
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bolf-score")
 
 

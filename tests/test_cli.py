@@ -459,6 +459,12 @@ class TestExitCodes:
                             "--seed", "-1"]) == EXIT_CONFIG
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_data_seed_beyond_32_bits(self, tmp_path, capsys):
+        # the generators keep a seed's low 32 bits: 2**32 would build seed 0's corpus
+        assert main(["gen-data", "--out", str(tmp_path), "--seed", str(2**32)]) == EXIT_CONFIG
+        assert "data seed must be < 2**32, got 4294967296" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.csv").exists()
+
     @pytest.mark.parametrize("name, value", [("fc_b", np.nan), ("layer0.wq", np.inf)])
     def test_non_finite_weights(self, ws, tmp_path, capsys, name, value):
         arrays = load_weights(ws["out"] / "weights.bolf")
@@ -614,15 +620,9 @@ def _raising(exc):
 
 
 class TestKeepFreedMemory:
-    """main() and the first forward ask glibc once per process to keep
+    """Importing bolf asks glibc, once for the whole process, to keep
     freed memory at the top of the heap, so forwards reuse pages instead of
     faulting them in."""
-
-    @pytest.fixture
-    def fresh(self):
-        cli._keep_freed_memory.cache_clear()
-        yield
-        cli._keep_freed_memory.cache_clear()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_forwards_fault_no_pages_back_in(self, tmp_path, capsys):
@@ -668,11 +668,10 @@ class TestKeepFreedMemory:
         pytest.param(_raising(OSError("no libc")), id="oserror"),
         pytest.param(_raising(TypeError("needs a library name")), id="typeerror"),
     ])
-    def test_runs_without_mallopt(self, fresh, monkeypatch, tmp_path, capsys, cdll):
+    def test_runs_without_mallopt(self, monkeypatch, cdll):
         calls = []
         monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
-        assert main(TINY_GEN_DATA + ["--out", str(tmp_path)]) == EXIT_OK
-        assert main(TINY_GEN_DATA + ["--out", str(tmp_path)]) == EXIT_OK
+        importlib.import_module("bolf.train")._keep_freed_memory()
         assert calls == [None]
 
 

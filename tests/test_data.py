@@ -349,6 +349,15 @@ class TestOriginals:
         with pytest.raises(ValueError):
             DatasetSpec(family="C")
 
+    def test_seed_range(self):
+        # the largest seed keeps its own corpus; the generators would read
+        # 2**32 as 0, so it is rejected with the negative seeds
+        a = gen_original(DatasetSpec(seed=2**32 - 1), "vid", 0).pixels
+        assert not np.array_equal(a, gen_original(DatasetSpec(seed=0), "vid", 0).pixels)
+        for seed in (-1, 2**32):
+            with pytest.raises(ValueError, match="seed must be"):
+                DatasetSpec(seed=seed)
+
 
 class TestManipulated:
     def test_labels_and_ids(self, pair):

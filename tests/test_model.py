@@ -5,15 +5,17 @@ import ctypes
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bolf.model as model_module
+import bolf.train as train_module
 from bolf.model import (
     NUM_CLASSES,
-    OPENBLAS_THREAD_CALLS,
     ModelConfig,
     ModelParams,
     attention_rollout,
@@ -29,7 +31,7 @@ from bolf.model import (
 )
 from bolf.tensor import (ShapeMismatch, Tape, Tensor, backward, layer_norm, matmul, narrow,
                          reshape)
-from bolf.train import cross_entropy
+from bolf.train import OPENBLAS_THREAD_CALLS, cross_entropy
 
 
 def _image(cfg: ModelConfig, seed: int = 0) -> np.ndarray:
@@ -623,6 +625,22 @@ def _numpys_blas_threads() -> int | None:
                 if hasattr(lib, name.format("get")))
 
 
+# A fresh process that imports bolf.data and runs nothing of bolf; prints
+# the thread count of every OpenBLAS in its memory map, one per line
+BLAS_THREADS_AFTER_IMPORT = """
+import ctypes
+import bolf.data
+from bolf.train import OPENBLAS_THREAD_CALLS
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                    if "openblas" in line.lower()})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    print(next(getattr(lib, name.format("get"))() for name in OPENBLAS_THREAD_CALLS
+               if hasattr(lib, name.format("get"))))
+"""
+
+
 class TestSingleThreadBlas:
     """score_samples runs two scoring threads only once every loaded
     OpenBLAS runs its kernels on the calling thread."""
@@ -631,16 +649,25 @@ class TestSingleThreadBlas:
     def test_pins_numpys_openblas_to_one_thread(self):
         if _numpys_blas_threads() is None:
             pytest.skip("numpy's BLAS is not OpenBLAS")
-        assert model_module._single_thread_blas()
+        assert train_module._single_thread_blas()
         assert _numpys_blas_threads() == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_importing_bolf_pins_every_openblas(self):
+        # no main(), no forward and no scoring: the import alone pins them
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_AFTER_IMPORT],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        threads = done.stdout.split()
+        if not threads:
+            pytest.skip("no OpenBLAS loaded")
+        assert threads == ["1"] * len(threads)
 
     def test_unreadable_maps_pin_nothing(self, monkeypatch):
         def unreadable(*args, **kwargs):
             raise OSError("no /proc")
 
-        model_module._single_thread_blas.cache_clear()
-        monkeypatch.setattr(model_module, "open", unreadable, raising=False)
-        try:
-            assert model_module._single_thread_blas() is False
-        finally:
-            model_module._single_thread_blas.cache_clear()
+        monkeypatch.setattr(train_module, "open", unreadable, raising=False)
+        assert train_module._single_thread_blas() is False

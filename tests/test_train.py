@@ -305,7 +305,7 @@ class TestScoring:
         samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
         stack = np.random.default_rng(6).random((37, 16, 16, 1))
         params = init_params(tiny_model_cfg, seed=0)
-        monkeypatch.setattr(train_module, "_single_thread_blas", lambda: False)
+        monkeypatch.setattr(train_module, "BLAS_PINNED", False)
         threads = _threads_of_forward(monkeypatch)
         scored = score_samples(params, samples, tiny_model_cfg, stack)
         assert [s.score for s in scored] == _serial_scores(params, tiny_model_cfg, stack)
