@@ -1,5 +1,5 @@
-"""Supervised training: cross-entropy loss, SGD with momentum, and a
-per-step cosine-annealed learning rate."""
+"""Supervised training (cross-entropy, SGD with momentum, a per-step cosine
+learning rate), eval-mode scoring, and the process-wide settings of bolf."""
 
 from __future__ import annotations
 
@@ -163,13 +163,15 @@ def _keep_freed_memory() -> None:
     the threshold at which glibc returns it to the kernel, so without the
     pad every forward faults the same pages back in. The threshold matters
     on the scoring threads: a thread's heap made before the pad was set
-    (by a thread the caller ran first) has none, and each of a forward's
-    larger arrays would be mapped, faulted in and unmapped again. Where
-    the C library has no mallopt (macOS, Windows) nothing is changed."""
+    (by a thread the caller ran before importing bolf) has none, and each
+    of a forward's larger arrays would be mapped, faulted in and unmapped
+    again. Where the C library has no mallopt (macOS, Windows) nothing is
+    changed."""
     try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt(M_TOP_PAD, TOP_PAD_BYTES)
-        libc.mallopt(M_MMAP_THRESHOLD, TOP_PAD_BYTES)
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+        mallopt(M_MMAP_THRESHOLD, TOP_PAD_BYTES)
     except (OSError, AttributeError, TypeError):
         pass
 
@@ -209,9 +211,8 @@ def _single_thread_blas() -> bool:
     return bool(paths)
 
 
-# Both settings hold for the whole process from the first import of bolf,
-# whose package imports this module after bolf.tensor has loaded numpy's
-# and scipy's OpenBLAS.
+# Made once, on bolf's first import, for the rest of the process. The package
+# imports this module after bolf.tensor, which loads numpy's and scipy's OpenBLAS.
 _keep_freed_memory()
 BLAS_PINNED = _single_thread_blas()
 

@@ -1,4 +1,4 @@
-"""tools/digest.py: one sha256 over a short bolf session, the same on
+"""tools/digest.py: one sha256 over a short run of bolf, the same on
 every rerun and different for another seed."""
 
 import re

@@ -1,4 +1,4 @@
-"""One sha256 over everything a short bolf session writes and prints.
+"""One sha256 over everything a short run of bolf writes and prints.
 
     python3 tools/digest.py [--config PATH]
 
