@@ -18,6 +18,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .data import (
+    MANIFEST_NAME,
+    PARTNER_FAMILY,
     PERTURBATION_KINDS,
     SPLITS,
     FormatError,
@@ -54,16 +56,10 @@ REPORT_COLUMNS = ("protocol", "split", "family", "perturbation", "level",
                   "acc", "auc_frame", "auc_video", "n")
 HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
-_OTHER_FAMILY = {"A": "B", "B": "A"}
-
 
 def _write_csv(path: Path, columns, rows) -> None:
     # csv writes a float as its repr, which round-trips exactly
     write_csv(path, [columns, *([row[col] for col in columns] for row in rows)])
-
-
-def _manifest_path(cfg: RunConfig) -> Path:
-    return Path(cfg.out_dir) / "manifest.csv"
 
 
 # The last model _load_params built: (model config, the weights file's
@@ -110,7 +106,7 @@ def cmd_gen_data(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    splits = load_manifest(_manifest_path(cfg), ("train", "val"))
+    splits = load_manifest(Path(cfg.out_dir) / MANIFEST_NAME, ("train", "val"))
     params = init_params(cfg.model, seed=cfg.train.seed)
     params, history = train(params, splits, cfg.train, cfg.model, cfg.threshold)
 
@@ -154,11 +150,11 @@ def _scored_rows(cfg: RunConfig, params: ModelParams
         # The unseen-generator protocol scores the other family's test
         # split, regenerated in memory from the same spec; only those rows
         # go in the report.
-        split, family = "test", _OTHER_FAMILY[cfg.data.family]
+        split, family = "test", PARTNER_FAMILY[cfg.data.family]
         base = build_split(replace(cfg.data, family=family), split)
     else:
         split = cfg.split
-        base = load_manifest(_manifest_path(cfg), (split,)).split(split)
+        base = load_manifest(Path(cfg.out_dir) / MANIFEST_NAME, (split,)).split(split)
         family = base[0].family
     yield split, family, "none", 0, score_samples(params, base, cfg.model)
     if cfg.protocol != "perturbed":

@@ -134,6 +134,9 @@ FAMILIES: dict[str, FamilyStyle] = {
                      tamper_amp=1.15),
 }
 
+FAKE_SUFFIX = "-f"  # a fake's video id is its original's plus this suffix
+PARTNER_FAMILY = {"A": "B", "B": "A"}  # whose test split a cross_family eval scores
+
 _TAMPER_STYLES = ("warp", "texture_sub", "color_shift", "patch_blend")
 
 
@@ -349,7 +352,7 @@ def gen_manipulated(original: ImageSample, spec: DatasetSpec) -> ImageSample:
     pixels = src.copy()
     pixels[plan.mask] = out[plan.mask]
     return ImageSample(pixels=pixels, label=1,
-                       video_id=original.video_id + "-f",
+                       video_id=original.video_id + FAKE_SUFFIX,
                        frame_idx=original.frame_idx,
                        tamper_mask=plan.mask.copy(), family=original.family)
 
@@ -511,7 +514,7 @@ def build_dataset(spec: DatasetSpec) -> DatasetSplits:
     """Generate balanced, video-disjoint train/val/test splits.
 
     Each original frame is paired with one manipulated derivative whose
-    video id carries a "-f" suffix, so labels are exactly 50/50 and no
+    video id carries ``FAKE_SUFFIX``, so labels are exactly 50/50 and no
     video id crosses splits.
     """
     return DatasetSplits(
@@ -660,6 +663,7 @@ def read_ppm(path) -> np.ndarray:
 # manifests
 # ---------------------------------------------------------------------------
 
+MANIFEST_NAME = "manifest.csv"  # in the corpus directory
 MANIFEST_COLUMNS = ("path", "label", "video_id", "frame_idx", "family", "split")
 
 
@@ -674,7 +678,7 @@ def write_dataset(splits: DatasetSplits, out_dir) -> Path:
     Idempotent: a re-run with the same spec overwrites identical bytes.
     """
     out_dir = Path(out_dir)
-    manifest_path = out_dir / "manifest.csv"
+    manifest_path = out_dir / MANIFEST_NAME
     rows = []
     for split in SPLITS:
         for sample in splits.split(split):

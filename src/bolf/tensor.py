@@ -15,9 +15,9 @@ Thirteen primitives have hand-written adjoints: add, mul, matmul,
 transpose, reshape, narrow, concat, sum_all, exp, log, softmax_rows,
 layer_norm and gelu. Each checks its inputs, computes, defines its
 adjoint, and hands both to one helper, ``_output``, which builds the
-output tensor and records it with the adjoint. Five more ops are
+output tensor and records it with the adjoint. Six more ops are
 compositions of them and record no adjoint of their own: sub, neg, take,
-mean_all and dropout.
+mean_all, dropout and the cross_entropy loss.
 
 :func:`grad_check` is the independent oracle: central finite differences
 on a sampled subset of coordinates, compared against the tape's
@@ -571,6 +571,28 @@ def dropout(x, p: float, uniforms: np.ndarray | None) -> Tensor:
     return mul(x, mask)
 
 
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """-log softmax(logits)[label], in log-sum-exp form (no overflow).
+
+    ``logits`` is one (num_classes,) row with an int label, or a
+    (batch, num_classes) stack with one label per row; the loss is summed
+    over the rows.
+    """
+    n = logits.shape[-1]
+    labels = np.atleast_1d(np.asarray(label))
+    if (labels.dtype.kind not in "iu" or labels.ndim != 1
+            or labels.shape[0] != (1 if logits.ndim == 1 else logits.shape[0])):
+        raise ValueError(f"labels {label!r} do not match logits {logits.shape}")
+    if not ((labels >= 0) & (labels < n)).all():
+        raise ValueError(f"label {label} out of range for {n} classes")
+    rows = reshape(logits, (len(labels), n))
+    # subtracting the row max as a constant keeps exp bounded and leaves
+    # the gradient exact: d/dx logsumexp(x - m) = softmax(x)
+    shifted = rows - rows.data.max(axis=1, keepdims=True)
+    log_sum = log(matmul(exp(shifted), np.ones((n, 1))))
+    return sum_all(log_sum) - sum_all(shifted * np.eye(n)[labels])
+
+
 # ---------------------------------------------------------------------------
 # backward + gradient checking
 # ---------------------------------------------------------------------------
@@ -680,8 +702,6 @@ def grad_check(f: Callable[[Tensor], Tensor], x) -> GradCheckReport:
 def primitive_checks() -> list[tuple[str, object, np.ndarray]]:
     """(name, scalar-valued f, probe point) for every tape primitive, and
     for the cross-entropy loss built from them, for :func:`grad_check`."""
-    from .train import cross_entropy  # bolf.train imports this module
-
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 7))
     b = Tensor(rng.normal(size=(5, 7)))

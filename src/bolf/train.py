@@ -1,5 +1,6 @@
-"""Supervised training (cross-entropy, SGD with momentum, a per-step cosine
-learning rate), eval-mode scoring, and the process-wide settings of bolf."""
+"""Supervised training (momentum SGD on bolf.tensor's cross_entropy, a
+per-step cosine learning rate), eval-mode scoring, and bolf's process-wide
+settings."""
 
 from __future__ import annotations
 
@@ -13,18 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import FAKE_SUFFIX
 from .metrics import ScoredSample, accuracy, roc_auc
 from .model import ModelConfig, ModelParams, forward
-from .tensor import NumericError, Tape, Tensor, backward, exp, log, matmul, reshape, sum_all
+from .tensor import NumericError, Tape, Tensor, backward, cross_entropy
 
 # Training computes in float32. init_params and ModelParams.from_arrays
 # build float64 models, which inference from a weights file and the
 # gradient checks run on.
 TRAIN_DTYPE = np.float32
 
-# Frames per eval-mode forward pass in score_samples. Every scorer uses the
-# same chunks, so a frame's score does not depend on which command made it
-# or on which thread of the scoring pool ran its chunk.
+# Frames per eval-mode forward pass in score_samples. Its callers (bolf eval,
+# training validation, bolf train's closing metrics) give a frame the same
+# score, whichever of them asks and whichever pool thread runs its chunk.
 SCORE_CHUNK = 16
 
 # Scoring threads at most. Each chunk in flight holds about 4 MB of float64
@@ -80,28 +82,6 @@ class EpochStats:
     val_acc: float
     val_auc: float
     lr: float
-
-
-def cross_entropy(logits: Tensor, label) -> Tensor:
-    """-log softmax(logits)[label], in log-sum-exp form (no overflow).
-
-    ``logits`` is one (num_classes,) row with an int label, or a
-    (batch, num_classes) stack with one label per row; the loss is summed
-    over the rows.
-    """
-    n = logits.shape[-1]
-    labels = np.atleast_1d(np.asarray(label))
-    if (labels.dtype.kind not in "iu" or labels.ndim != 1
-            or labels.shape[0] != (1 if logits.ndim == 1 else logits.shape[0])):
-        raise ValueError(f"labels {label!r} do not match logits {logits.shape}")
-    if not ((labels >= 0) & (labels < n)).all():
-        raise ValueError(f"label {label} out of range for {n} classes")
-    rows = reshape(logits, (len(labels), n))
-    # subtracting the row max as a constant keeps exp bounded and leaves
-    # the gradient exact: d/dx logsumexp(x - m) = softmax(x)
-    shifted = rows - rows.data.max(axis=1, keepdims=True)
-    log_sum = log(matmul(exp(shifted), np.ones((n, 1))))
-    return sum_all(log_sum) - sum_all(shifted * np.eye(n)[labels])
 
 
 def cosine_lr(t: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> float:
@@ -273,8 +253,8 @@ def evaluate(params: ModelParams, samples, config: ModelConfig,
 def _shuffled_order(samples, rng: np.random.Generator) -> np.ndarray:
     """Pair-preserving shuffle of a balanced original/tampered set.
 
-    Every tampered sample derives from one original frame (video id plus a
-    "-f" suffix, same frame index) and is bit-identical to it outside the
+    Every tampered sample derives from one original frame (video id plus
+    ``FAKE_SUFFIX``, same frame index) and is bit-identical to it outside the
     tamper region. Keeping each such pair adjacent makes every even-sized
     batch exactly label-balanced AND content-matched, so the shared image
     content cancels inside the batch gradient and what remains is the
@@ -287,8 +267,8 @@ def _shuffled_order(samples, rng: np.random.Generator) -> np.ndarray:
     pairs = []
     matched = set()
     for i, s in enumerate(samples):
-        if s.label == 1 and s.video_id.endswith("-f"):
-            j = by_frame.get((s.video_id[:-2], s.frame_idx))
+        if s.label == 1 and s.video_id.endswith(FAKE_SUFFIX):
+            j = by_frame.get((s.video_id[:-len(FAKE_SUFFIX)], s.frame_idx))
             if j is not None:
                 pairs.append((j, i))
                 matched.add(j)

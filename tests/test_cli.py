@@ -6,12 +6,9 @@ rollout, determinism, and exit-code tests all work against it.
 
 import builtins
 import csv
-import ctypes
 import importlib
 import io
 import os
-import platform
-import resource
 import shutil
 import subprocess
 import sys
@@ -25,11 +22,10 @@ from hypothesis import given, settings, strategies as st
 import bolf.cli as cli
 from bolf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from bolf.config import load_config
-from bolf.data import (PERTURBATION_KINDS, DatasetSpec, FormatError, PerturbationSpec,
-                       build_split, gen_original, load_manifest, perturb, read_ppm,
-                       write_ppm)
+from bolf.data import (PERTURBATION_KINDS, FormatError, PerturbationSpec, build_split,
+                       load_manifest, perturb, read_ppm, sample_filename, write_ppm)
 from bolf.metrics import accuracy, roc_auc, video_level
-from bolf.model import ModelConfig, ModelParams, forward, init_params
+from bolf.model import ModelConfig, ModelParams, init_params
 from bolf.tensor import NumericError, Tensor, mul, sum_all
 from bolf.train import score_samples
 from bolf.weights import load_weights, save_weights
@@ -291,6 +287,24 @@ class TestRollout:
         out = capsys.readouterr().out
         score_line = [l for l in out.splitlines() if l.startswith("fake_score")][0]
         assert 0.0 <= float(score_line.split()[1]) <= 1.0
+
+    def test_fake_score_agrees_with_score_samples(self, ws, capsys):
+        # rollout scores a batch of one, score_samples 16-frame chunks: the
+        # two need not share every bit, but they agree far below 1e-12
+        weights = ws["out"] / "weights.bolf"
+        test = load_manifest(ws["out"] / "manifest.csv", ("test",)).test
+        params = ModelParams.from_arrays(CFG_MODEL, load_weights(weights),
+                                         requires_grad=False)
+        chunked = score_samples(params, test, CFG_MODEL)
+        capsys.readouterr()
+        for sample, scored in zip(test, chunked, strict=True):
+            image = ws["out"] / "images" / "test" / sample_filename(sample)
+            assert main(["rollout", str(image), "--config", ws["cfg"],
+                         "--out", str(ws["root"] / "rollout_agree"),
+                         "--set", f"run.weights_in={weights}"]) == EXIT_OK
+            line = capsys.readouterr().out.splitlines()[0]
+            assert line.startswith("fake_score ")
+            assert abs(float(line.split()[1]) - scored.score) <= 1e-12
 
     def test_uniform_attention_yields_blank_heatmap(self, ws, flat_params):
         """Zeroed projections give uniform attention everywhere; the
@@ -563,116 +577,6 @@ class TestModuleEntryPoint:
         assert done.returncode == EXIT_OK, done.stderr
         assert (tmp_path / "corpus" / "manifest.csv").read_bytes() == \
                (ws["out"] / "manifest.csv").read_bytes()
-
-
-TINY_GEN_DATA = ["gen-data", "--set", "data.train_count=2", "--set", "data.val_count=2",
-                 "--set", "data.test_count=2"]
-
-
-# 20 default-model 16-frame float64 forwards after 3 warm-up ones, in a
-# process that never imports bolf.cli; prints whether it did, and the minor
-# page faults of the 20
-FORWARDS_WITHOUT_MAIN = """
-import resource, sys
-import numpy as np
-from bolf.data import DatasetSpec, gen_original
-from bolf.model import ModelConfig, ModelParams, forward, init_params
-cfg = ModelConfig()
-params = ModelParams.from_arrays(
-    cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()}, requires_grad=False)
-images = np.stack([gen_original(DatasetSpec(), "v", i).pixels for i in range(16)])
-for _ in range(3):
-    forward(images, params, cfg)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    forward(images, params, cfg)
-print("bolf.cli" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-# A caller whose own threads made their heaps before bolf's first call,
-# then 128-frame scoring calls on bolf's pool, which takes over those heaps
-SCORING_ON_EARLIER_HEAPS = """
-import resource
-from concurrent.futures import ThreadPoolExecutor
-import numpy as np
-with ThreadPoolExecutor(2) as pool:
-    list(pool.map(lambda _: sum(np.ones((17, 64)).sum() for _ in range(5000)), range(8)))
-from bolf.data import DatasetSpec, build_split
-from bolf.model import ModelConfig, ModelParams, init_params
-from bolf.train import score_samples
-cfg = ModelConfig()
-params = ModelParams.from_arrays(
-    cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()}, requires_grad=False)
-samples = build_split(DatasetSpec(test_count=64), "test")
-for _ in range(3):
-    score_samples(params, samples, cfg)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(5):
-    score_samples(params, samples, cfg)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def _raising(exc):
-    def cdll(name):
-        raise exc
-    return cdll
-
-
-class TestKeepFreedMemory:
-    """Importing bolf asks glibc, once for the whole process, to keep
-    freed memory at the top of the heap, so forwards reuse pages instead of
-    faulting them in."""
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-    def test_forwards_fault_no_pages_back_in(self, tmp_path, capsys):
-        assert main(TINY_GEN_DATA + ["--out", str(tmp_path)]) == EXIT_OK
-        cfg = ModelConfig()
-        params = ModelParams.from_arrays(
-            cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()},
-            requires_grad=False)
-        images = np.stack([gen_original(DatasetSpec(), "v", i).pixels for i in range(16)])
-        for _ in range(3):
-            forward(images, params, cfg)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(20):
-            forward(images, params, cfg)
-        # 9,600-12,900 when glibc trims the heap after every forward
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-    def test_forwards_without_main_fault_no_pages_back_in(self):
-        # a library caller: a fresh process that runs forwards and never main()
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", FORWARDS_WITHOUT_MAIN],
-                              env=dict(os.environ, PYTHONPATH=str(src)),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        cli_loaded, faults = done.stdout.split()
-        assert cli_loaded == "False"
-        # 12,900 when glibc trims the heap after every forward
-        assert int(faults) < 50
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-    def test_scoring_threads_on_earlier_heaps_fault_no_pages_back_in(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", SCORING_ON_EARLIER_HEAPS],
-                              env=dict(os.environ, PYTHONPATH=str(src)),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        # about 8,900 when each forward's larger arrays are mapped afresh
-        assert int(done.stdout) < 100
-
-    @pytest.mark.parametrize("cdll", [
-        pytest.param(lambda name: object(), id="no-mallopt"),
-        pytest.param(_raising(OSError("no libc")), id="oserror"),
-        pytest.param(_raising(TypeError("needs a library name")), id="typeerror"),
-    ])
-    def test_runs_without_mallopt(self, monkeypatch, cdll):
-        calls = []
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
-        importlib.import_module("bolf.train")._keep_freed_memory()
-        assert calls == [None]
 
 
 def _tree(root):

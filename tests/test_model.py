@@ -1,19 +1,13 @@
 """Tests for the patch-bag encoder: geometry, initialization, forward
 invariants, a hand-computed attention oracle, and attention rollout."""
 
-import ctypes
 import dataclasses
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bolf.train as train_module
 from bolf.model import (
     NUM_CLASSES,
     ModelConfig,
@@ -31,7 +25,7 @@ from bolf.model import (
 )
 from bolf.tensor import (ShapeMismatch, Tape, Tensor, backward, layer_norm, matmul, narrow,
                          reshape)
-from bolf.train import OPENBLAS_THREAD_CALLS, cross_entropy
+from bolf.train import cross_entropy
 
 
 def _image(cfg: ModelConfig, seed: int = 0) -> np.ndarray:
@@ -610,64 +604,3 @@ class TestHeatmap:
     def test_mask_shape_validated(self):
         with pytest.raises(ShapeMismatch):
             heatmap_mask_mass(np.full(16, 1 / 16), np.zeros((8, 8), bool), ModelConfig())
-
-
-def _numpys_blas_threads() -> int | None:
-    """The thread count numpy's OpenBLAS reports, or None if numpy's BLAS
-    is not an OpenBLAS found in /proc/self/maps."""
-    with open("/proc/self/maps") as maps:
-        path = next((line.split(maxsplit=5)[-1].strip() for line in maps
-                     if "numpy" in line and "openblas" in line.lower()), None)
-    if path is None:
-        return None
-    lib = ctypes.CDLL(path)
-    return next(getattr(lib, name.format("get"))() for name in OPENBLAS_THREAD_CALLS
-                if hasattr(lib, name.format("get")))
-
-
-# A fresh process that imports bolf.data and runs nothing of bolf; prints
-# the thread count of every OpenBLAS in its memory map, one per line
-BLAS_THREADS_AFTER_IMPORT = """
-import ctypes
-import bolf.data
-from bolf.train import OPENBLAS_THREAD_CALLS
-with open("/proc/self/maps") as maps:
-    paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
-                    if "openblas" in line.lower()})
-for path in paths:
-    lib = ctypes.CDLL(path)
-    print(next(getattr(lib, name.format("get"))() for name in OPENBLAS_THREAD_CALLS
-               if hasattr(lib, name.format("get"))))
-"""
-
-
-class TestSingleThreadBlas:
-    """score_samples runs two scoring threads only once every loaded
-    OpenBLAS runs its kernels on the calling thread."""
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
-    def test_pins_numpys_openblas_to_one_thread(self):
-        if _numpys_blas_threads() is None:
-            pytest.skip("numpy's BLAS is not OpenBLAS")
-        assert train_module._single_thread_blas()
-        assert _numpys_blas_threads() == 1
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
-    def test_importing_bolf_pins_every_openblas(self):
-        # no main(), no forward and no scoring: the import alone pins them
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_AFTER_IMPORT],
-                              env=dict(os.environ, PYTHONPATH=str(src)),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        threads = done.stdout.split()
-        if not threads:
-            pytest.skip("no OpenBLAS loaded")
-        assert threads == ["1"] * len(threads)
-
-    def test_unreadable_maps_pin_nothing(self, monkeypatch):
-        def unreadable(*args, **kwargs):
-            raise OSError("no /proc")
-
-        monkeypatch.setattr(train_module, "open", unreadable, raising=False)
-        assert train_module._single_thread_blas() is False

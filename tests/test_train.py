@@ -1,12 +1,16 @@
-"""Tests for the loss, schedule, optimizer, and the supervised loop.
+"""Tests for the loss, schedule, optimizer, the supervised loop, scoring,
+and the process-wide settings that importing bolf makes.
 
 Closed-form oracles: cross-entropy of symmetric logits is ln 2, two
 momentum steps under a constant gradient displace by 2.9 * lr * g.
 """
 
+import ctypes
 import importlib
 import math
 import os
+import platform
+import resource
 import subprocess
 import sys
 import threading
@@ -16,9 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bolf.data import DatasetSpec, gen_original
 from bolf.model import ModelConfig, ModelParams, forward, init_params
 from bolf.tensor import NumericError, Tape, Tensor, backward, grad_check, mul, sum_all
 from bolf.train import (
+    OPENBLAS_THREAD_CALLS,
     SCORE_CHUNK,
     SCORE_WORKERS,
     TRAIN_DTYPE,
@@ -650,3 +656,169 @@ class TestFlatBuffers:
         assert missed.data.tobytes() == np.array([3.0]).tobytes()
         assert opt.velocity[2:].tobytes() == np.zeros(1).tobytes()
         assert not np.array_equal(reached.data, [1.0, 2.0])
+
+
+# 20 default-model 16-frame float64 forwards after 3 warm-up ones, in a
+# process that never imports bolf.cli; prints whether it did, and the minor
+# page faults of the 20
+FORWARDS_WITHOUT_MAIN = """
+import resource, sys
+import numpy as np
+from bolf.data import DatasetSpec, gen_original
+from bolf.model import ModelConfig, ModelParams, forward, init_params
+cfg = ModelConfig()
+params = ModelParams.from_arrays(
+    cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()}, requires_grad=False)
+images = np.stack([gen_original(DatasetSpec(), "v", i).pixels for i in range(16)])
+for _ in range(3):
+    forward(images, params, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    forward(images, params, cfg)
+print("bolf.cli" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# A caller whose own threads made their heaps before bolf's first call,
+# then 128-frame scoring calls on bolf's pool, which takes over those heaps
+SCORING_ON_EARLIER_HEAPS = """
+import resource
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+with ThreadPoolExecutor(2) as pool:
+    list(pool.map(lambda _: sum(np.ones((17, 64)).sum() for _ in range(5000)), range(8)))
+from bolf.data import DatasetSpec, build_split
+from bolf.model import ModelConfig, ModelParams, init_params
+from bolf.train import score_samples
+cfg = ModelConfig()
+params = ModelParams.from_arrays(
+    cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()}, requires_grad=False)
+samples = build_split(DatasetSpec(test_count=64), "test")
+for _ in range(3):
+    score_samples(params, samples, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    score_samples(params, samples, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _raising(exc):
+    def cdll(name):
+        raise exc
+    return cdll
+
+
+class TestKeepFreedMemory:
+    """Importing bolf asks glibc, once for the whole process, to keep
+    freed memory at the top of the heap, so forwards reuse pages instead of
+    faulting them in."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_forwards_fault_no_pages_back_in(self):
+        cfg = ModelConfig()
+        params = ModelParams.from_arrays(
+            cfg, {name: t.data for name, t in init_params(cfg, seed=0).named()},
+            requires_grad=False)
+        images = np.stack([gen_original(DatasetSpec(), "v", i).pixels for i in range(16)])
+        for _ in range(3):
+            forward(images, params, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            forward(images, params, cfg)
+        # 9,600-12,900 when glibc trims the heap after every forward
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_forwards_without_main_fault_no_pages_back_in(self):
+        # a library caller: a fresh process that runs forwards and never main()
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", FORWARDS_WITHOUT_MAIN],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        cli_loaded, faults = done.stdout.split()
+        assert cli_loaded == "False"
+        # 12,900 when glibc trims the heap after every forward
+        assert int(faults) < 50
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_scoring_threads_on_earlier_heaps_fault_no_pages_back_in(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", SCORING_ON_EARLIER_HEAPS],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # about 8,900 when each forward's larger arrays are mapped afresh
+        assert int(done.stdout) < 100
+
+    @pytest.mark.parametrize("cdll", [
+        pytest.param(lambda name: object(), id="no-mallopt"),
+        pytest.param(_raising(OSError("no libc")), id="oserror"),
+        pytest.param(_raising(TypeError("needs a library name")), id="typeerror"),
+    ])
+    def test_runs_without_mallopt(self, monkeypatch, cdll):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
+        train_module._keep_freed_memory()
+        assert calls == [None]
+
+
+def _numpys_blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports, or None if numpy's BLAS
+    is not an OpenBLAS found in /proc/self/maps."""
+    with open("/proc/self/maps") as maps:
+        path = next((line.split(maxsplit=5)[-1].strip() for line in maps
+                     if "numpy" in line and "openblas" in line.lower()), None)
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)
+    return next(getattr(lib, name.format("get"))() for name in OPENBLAS_THREAD_CALLS
+                if hasattr(lib, name.format("get")))
+
+
+# A fresh process that imports bolf.data and runs nothing of bolf; prints
+# the thread count of every OpenBLAS in its memory map, one per line
+BLAS_THREADS_AFTER_IMPORT = """
+import ctypes
+import bolf.data
+from bolf.train import OPENBLAS_THREAD_CALLS
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                    if "openblas" in line.lower()})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    print(next(getattr(lib, name.format("get"))() for name in OPENBLAS_THREAD_CALLS
+               if hasattr(lib, name.format("get"))))
+"""
+
+
+class TestSingleThreadBlas:
+    """score_samples runs two scoring threads only once every loaded
+    OpenBLAS runs its kernels on the calling thread."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_pins_numpys_openblas_to_one_thread(self):
+        if _numpys_blas_threads() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert train_module._single_thread_blas()
+        assert _numpys_blas_threads() == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_importing_bolf_pins_every_openblas(self):
+        # no main(), no forward and no scoring: the import alone pins them
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_AFTER_IMPORT],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        threads = done.stdout.split()
+        if not threads:
+            pytest.skip("no OpenBLAS loaded")
+        assert threads == ["1"] * len(threads)
+
+    def test_unreadable_maps_pin_nothing(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise OSError("no /proc")
+
+        monkeypatch.setattr(train_module, "open", unreadable, raising=False)
+        assert train_module._single_thread_blas() is False
