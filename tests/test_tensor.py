@@ -28,6 +28,7 @@ from bolf.tensor import (
     add,
     backward,
     concat,
+    cross_entropy,
     dropout,
     exp,
     gelu,
@@ -274,8 +275,6 @@ class TestTapeMechanics:
         assert type(out.data) is np.ndarray and out.data.dtype == dtype
 
     def test_training_step_records_75_ops(self):
-        from bolf.train import cross_entropy  # bolf.train imports this module
-
         cfg = ModelConfig()  # two blocks, with dropout
         params = init_params(cfg, seed=0)
         images = np.random.default_rng(0).random((8, cfg.height, cfg.width, cfg.channels))
