@@ -7,18 +7,18 @@ local tampering, and rank-based evaluation metrics.
 """
 
 from .tensor import (DTYPE, GradCheckReport, NumericError, ShapeMismatch, Tape,
-                     TapeError, Tensor, backward, grad_check)
+                     TapeError, Tensor, backward, cross_entropy, grad_check)
 from .model import (ModelConfig, ModelParams, attention_rollout, embed_patches, forward,
                     heatmap_mask_mass, heatmap_to_image, init_params, multi_head_attention,
                     patchify, scaled_dot_attention, unpatchify)
 from .metrics import ScoredSample, UndefinedMetric, accuracy, roc_auc, video_level
 from .train import (EpochStats, MomentumSGD, NonFiniteLoss, TrainConfig,
-                    cosine_lr, cross_entropy, evaluate, fake_score)
+                    cosine_lr, evaluate, fake_score)
 from .data import (DatasetSpec, DatasetSplits, FormatError, ImageSample,
                    PerturbationSpec, build_dataset, gen_manipulated, gen_original,
                    load_manifest, perturb, read_ppm, write_dataset, write_ppm)
 from .weights import WeightsError, load_weights, save_weights
-from .config import ConfigError, RunConfig, load_config, serialize
+from .config import ConfigError, RunConfig, load_config
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "FormatError", "build_dataset", "gen_original", "gen_manipulated",
     "perturb", "read_ppm", "write_ppm", "write_dataset", "load_manifest",
     "WeightsError", "save_weights", "load_weights",
-    "ConfigError", "RunConfig", "load_config", "serialize",
+    "ConfigError", "RunConfig", "load_config",
 ]

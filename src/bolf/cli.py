@@ -43,8 +43,8 @@ from .model import (
     heatmap_to_image,
     init_params,
 )
-from .tensor import NumericError, ShapeMismatch, grad_check, primitive_checks
-from .train import EpochStats, cross_entropy, evaluate, fake_score, score_samples, train
+from .tensor import NumericError, ShapeMismatch, cross_entropy, grad_check, primitive_checks
+from .train import EpochStats, evaluate, fake_score, score_samples, train
 from .weights import WeightsError, load_weights, read_weights, save_weights
 
 EXIT_OK = 0
@@ -146,15 +146,21 @@ def _scored_rows(cfg: RunConfig, params: ModelParams
     the stack ``perturb`` returns against the clean samples' labels and
     video ids.
     """
+    manifest = Path(cfg.out_dir) / MANIFEST_NAME
     if cfg.protocol == "cross_family":
         # The unseen-generator protocol scores the other family's test
         # split, regenerated in memory from the same spec; only those rows
-        # go in the report.
+        # go in the report. The other family is the corpus's partner, so a
+        # corpus in run.out_dir must be of data.family.
+        corpus = load_manifest(manifest, ()).family if manifest.exists() else cfg.data.family
+        if corpus != cfg.data.family:
+            raise ConfigError(f"data.family is {cfg.data.family!r}, but the corpus "
+                              f"{manifest} is family {corpus!r}")
         split, family = "test", PARTNER_FAMILY[cfg.data.family]
         base = build_split(replace(cfg.data, family=family), split)
     else:
         split = cfg.split
-        base = load_manifest(Path(cfg.out_dir) / MANIFEST_NAME, (split,)).split(split)
+        base = load_manifest(manifest, (split,)).split(split)
         family = base[0].family
     yield split, family, "none", 0, score_samples(params, base, cfg.model)
     if cfg.protocol != "perturbed":

@@ -43,6 +43,16 @@ class RunConfig:
     level: int = 3
     split: str = "test"
 
+    def __post_init__(self):
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"run.protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        if self.split not in SPLITS:
+            raise ValueError(f"run.split must be one of {SPLITS}, got {self.split!r}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"run.threshold must be in [0, 1], got {self.threshold}")
+        if not 0 <= self.level <= 5:
+            raise ValueError(f"run.level must be 0..5, got {self.level}")
+
     def weights_out_path(self) -> Path:
         return Path(self.weights_out) if self.weights_out else Path(self.out_dir) / "weights.bolf"
 
@@ -106,44 +116,9 @@ def from_pairs(pairs: dict[str, str]) -> RunConfig:
         model = ModelConfig(**{name: getattr(data, name) for name in _DATA_OWNED},
                             **kwargs_for("model"))
         train = TrainConfig(**kwargs_for("train"))
-        cfg = RunConfig(model=model, train=train, data=data, **kwargs_for("run"))
-    except ConfigError:
-        raise
+        return RunConfig(model=model, train=train, data=data, **kwargs_for("run"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    if cfg.protocol not in PROTOCOLS:
-        raise ConfigError(f"run.protocol must be one of {PROTOCOLS}, got {cfg.protocol!r}")
-    if cfg.split not in SPLITS:
-        raise ConfigError(f"run.split must be one of {SPLITS}, got {cfg.split!r}")
-    if not 0.0 <= cfg.threshold <= 1.0:
-        raise ConfigError(f"run.threshold must be in [0, 1], got {cfg.threshold}")
-    if not 0 <= cfg.level <= 5:
-        raise ConfigError(f"run.level must be 0..5, got {cfg.level}")
-    return cfg
-
-
-def to_pairs(cfg: RunConfig) -> dict[str, str]:
-    """Canonical full key set for cfg; floats use repr so parsing them back
-    reproduces the exact value."""
-    sources = {"data": cfg.data, "model": cfg.model, "train": cfg.train, "run": cfg}
-    pairs: dict[str, str] = {}
-    for section, table in _SECTIONS.items():
-        obj = sources[section]
-        for name, typ in table.items():
-            value = getattr(obj, name)
-            pairs[f"{section}.{name}"] = repr(value) if typ is float else str(value)
-    return pairs
-
-
-def serialize(cfg: RunConfig) -> str:
-    lines = []
-    for section in _SECTIONS:
-        lines.append(f"# {section}")
-        lines.extend(f"{key} = {value}" for key, value in to_pairs(cfg).items()
-                     if key.startswith(section + "."))
-        lines.append("")
-    return "\n".join(lines)
 
 
 def load_config(path=None, overrides: list[str] | None = None,

@@ -482,6 +482,7 @@ class DatasetSplits:
     train: list[ImageSample] = field(default_factory=list)
     val: list[ImageSample] = field(default_factory=list)
     test: list[ImageSample] = field(default_factory=list)
+    family: str | None = None  # of every sample, listed or not; None if unknown
 
     def split(self, name: str) -> list[ImageSample]:
         if name not in SPLITS:
@@ -520,7 +521,8 @@ def build_dataset(spec: DatasetSpec) -> DatasetSplits:
     return DatasetSplits(
         train=build_split(spec, "train"),
         val=build_split(spec, "val"),
-        test=build_split(spec, "test"))
+        test=build_split(spec, "test"),
+        family=spec.family)
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +697,11 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
 
     Every row is validated, but images are read only for the requested
     ``splits``, each of which must list at least one row; the other splits
-    come back empty. All rows must name the same, known family, all rows of
-    a video the same label and the same split, and no frame of a video may
-    be listed twice, and every image read must have the first one's shape.
+    come back empty, so ``splits=()`` reads the rows only. All rows must
+    name the same, known family, which the result's ``family`` holds, all
+    rows of a video the same label and the same split, and no frame of a
+    video may be listed twice, and every image read must have the first
+    one's shape.
     Tamper masks are not persisted, so loaded fakes carry mask None.
     """
     manifest_path = Path(manifest_path)
@@ -766,4 +770,4 @@ def load_manifest(manifest_path, splits=SPLITS) -> DatasetSplits:
     for name in splits:
         if not loaded[name]:
             raise FormatError(f"manifest {manifest_path} lists no {name!r} samples")
-    return DatasetSplits(**loaded)
+    return DatasetSplits(**loaded, family=families.pop())

@@ -188,6 +188,30 @@ class TestEvalProtocols:
         assert row["split"] == "test"
         assert row["protocol"] == "cross_family"
 
+    def test_cross_family_scores_the_partner_of_the_corpus_family(self, ws, capsys,
+                                                                  monkeypatch):
+        out = ws["root"] / "family_b"
+        assert main(["gen-data", "--config", ws["cfg"], "--out", str(out),
+                     "--set", "data.family=B"]) == EXIT_OK
+        reads = ["--config", ws["cfg"], "--out", str(out),
+                 "--set", f"run.weights_in={ws['out'] / 'weights.bolf'}",
+                 "--set", "run.protocol=cross_family"]
+        assert main(["eval", *reads, "--set", "data.family=B"]) == EXIT_OK
+        row = dict(zip(*_read_csv(out / "report.csv")))
+        assert (row["protocol"], row["family"]) == ("cross_family", "A")
+        (out / "report.csv").unlink()
+        capsys.readouterr()
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored a split")
+
+        monkeypatch.setattr(cli, "score_samples", no_scoring)
+        assert main(["eval", *reads]) == EXIT_CONFIG  # data.family defaults to A
+        err = capsys.readouterr().err
+        assert err == (f"config error: data.family is 'A', but the corpus "
+                       f"{out / 'manifest.csv'} is family 'B'\n")
+        assert not (out / "report.csv").exists()
+
     def test_perturbed_row_inventory(self, ws):
         assert main(["eval", "--config", ws["cfg"], "--out", str(ws["out"]),
                      "--set", "run.protocol=perturbed"]) == EXIT_OK

@@ -1,5 +1,7 @@
 """Tests for the flat key = value run configuration."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,6 @@ from bolf.config import (
     from_pairs,
     load_config,
     parse_text,
-    serialize,
-    to_pairs,
 )
 
 FLOAT_KEYS = [f"{section}.{name}" for section, table in config._SECTIONS.items()
@@ -116,13 +116,38 @@ class TestFromPairs:
         assert str(cfg.weights_out_path()) == "w.bin"
 
 
+class TestRunConfig:
+    """RunConfig checks its own keys, so a config built or replaced in code
+    is held to the messages from_pairs gives."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("protocol", "cross-family", "run.protocol must be one of "
+         "('in_dist', 'cross_family', 'perturbed'), got 'cross-family'"),
+        ("split", "holdout", "run.split must be one of ('train', 'val', 'test'), "
+         "got 'holdout'"),
+        ("threshold", 1.5, "run.threshold must be in [0, 1], got 1.5"),
+        ("threshold", -0.25, "run.threshold must be in [0, 1], got -0.25"),
+        ("level", 9, "run.level must be 0..5, got 9"),
+        ("level", -1, "run.level must be 0..5, got -1"),
+    ], ids=["protocol", "split", "threshold_high", "threshold_low", "level_high", "level_low"])
+    def test_out_of_range_run_key_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as built:
+            RunConfig(**{field: value})
+        with pytest.raises(ValueError) as replaced:
+            replace(RunConfig(), **{field: value})
+        with pytest.raises(ConfigError) as parsed:
+            from_pairs({f"run.{field}": str(value)})
+        assert str(built.value) == str(replaced.value) == str(parsed.value) == message
+
+
 class TestSerialize:
-    def test_roundtrip_preserves_exact_floats(self):
-        cfg = from_pairs({"train.lr0": "0.1", "run.threshold": "0.3",
-                         "model.dropout": "0.07"})
-        back = from_pairs(parse_text(serialize(cfg)))
-        assert back == cfg
-        assert back.train.lr0 == cfg.train.lr0
+    """The text form of the keys: their table, and floats that read back
+    bit for bit."""
+
+    # in range for each float key (lr_min below the default lr0 0.01),
+    # each with a 17-digit shortest repr
+    EXACT_FLOATS = {"model.dropout": 1 / 7, "train.lr0": 1 / 7, "train.momentum": 1 / 7,
+                    "train.lr_min": 1 / 700, "run.threshold": 1 / 7}
 
     def test_key_table(self):
         # the scalar fields of the four config classes in declaration
@@ -142,12 +167,14 @@ class TestSerialize:
         assert [(f"{section}.{name}", typ) for section, table in config._SECTIONS.items()
                 for name, typ in table.items()] == keys
 
-    def test_serializes_every_key(self):
-        pairs = to_pairs(RunConfig())
-        assert set(pairs) == set(ALL_KEYS)
-
-    def test_default_roundtrip(self):
-        assert from_pairs(parse_text(serialize(RunConfig()))) == RunConfig()
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_text_reads_back_exactly(self, key):
+        x = self.EXACT_FLOATS[key]
+        assert len(repr(x).split(".")[1].lstrip("0")) == 17
+        section, name = key.split(".")
+        cfg = from_pairs(parse_text(f"{key} = {x!r}"))
+        got = getattr(cfg if section == "run" else getattr(cfg, section), name)
+        assert got.hex() == x.hex()
 
 
 class TestLoadConfig:
