@@ -246,8 +246,8 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     # tolerance. A step-shrinking study confirms the adjoints themselves
     # agree to ~1e-6; the scaling only tames third derivatives.
     params = init_params(cfg.model, seed=cfg.train.seed)
-    params = ModelParams.from_arrays(
-        cfg.model, {name: t.data * 0.25 for name, t in params.named()})
+    for _, t in params.named():
+        t.data *= 0.25
     image = gen_original(cfg.data, "gradcheck", 0).pixels
 
     def model_loss(name):

@@ -6,7 +6,8 @@ sections: ``data.*`` (generator), ``model.*`` (architecture), ``train.*``
 Unknown keys, duplicate keys, and out-of-range values are hard errors.
 
 Image height/width/channels live only under ``data.*``; the model always
-takes its input geometry from there, so the two can never disagree.
+takes its input geometry from there, and a RunConfig whose model and data
+disagree on it is rejected.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class RunConfig:
             raise ValueError(f"run.threshold must be in [0, 1], got {self.threshold}")
         if not 0 <= self.level <= 5:
             raise ValueError(f"run.level must be 0..5, got {self.level}")
+        for name in _DATA_OWNED:
+            data, model = getattr(self.data, name), getattr(self.model, name)
+            if model != data:
+                raise ValueError(f"model.{name} {model} disagrees with data.{name} {data}")
 
     def weights_out_path(self) -> Path:
         return Path(self.weights_out) if self.weights_out else Path(self.out_dir) / "weights.bolf"

@@ -307,8 +307,9 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig, model_cfg: ModelC
     The cosine learning-rate schedule is stepped once per optimizer step,
     with T = epochs * ceil(len(train) / batch_size). A non-finite loss or
     gradient stops training before the update, naming where it happened.
-    Every epoch ends with an eval-mode pass over ``val``; its accuracy
-    counts a score at or above ``threshold`` as a fake.
+    Every epoch ends with an eval-mode pass over ``val``. Both accuracies,
+    the training batches' and ``val``'s, count a score at or above
+    ``threshold`` as a fake.
     """
     train_set = splits.train
     val_set = splits.val
@@ -344,7 +345,7 @@ def train(params: ModelParams, splits, train_cfg: TrainConfig, model_cfg: ModelC
                     f"(batch from video {batch[0].video_id} frame {batch[0].frame_idx})")
             backward(loss, tape)
             loss_sum += value
-            correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
+            correct += int(np.sum((fake_score(logits.data) >= threshold) == (labels == 1)))
             # mean-over-batch gradient keeps lr robust to batch size
             opt.grad *= 1.0 / len(batch)
             if not np.isfinite(opt.grad).all():

@@ -152,6 +152,23 @@ class TestTrain:
         assert float(rows[-1][header.index("val_acc")]) == accuracy(scored, threshold)
         assert float(rows[-1][header.index("val_auc")]) == roc_auc(scored)
 
+    def test_history_train_acc_uses_run_threshold(self, ws, tmp_path, capsys):
+        # at threshold 0 every frame counts as fake, and the train and val
+        # splits are half fakes; on this corpus the argmax of the logits
+        # gets 17 of the 32 training frames right
+        sizes = ["--set", "data.train_count=32", "--set", "data.val_count=16",
+                 "--set", "data.test_count=16"]
+        assert main(["gen-data", "--config", ws["cfg"], "--out", str(tmp_path),
+                     *sizes]) == EXIT_OK
+        assert main(["train", "--config", ws["cfg"], "--out", str(tmp_path), *sizes,
+                     "--set", "run.threshold=0.0"]) == EXIT_OK
+        capsys.readouterr()
+        header, *rows = _read_csv(tmp_path / "history.csv")
+        assert rows
+        for row in rows:
+            assert float(row[header.index("train_acc")]) == 0.5
+            assert float(row[header.index("val_acc")]) == 0.5
+
     def test_seed_flag_changes_weights(self, ws):
         out = ws["root"] / "seeded"
         assert main(["gen-data", "--config", ws["cfg"], "--out", str(out)]) == EXIT_OK

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bolf import config
+from bolf.data import DatasetSpec
+from bolf.model import ModelConfig
 from bolf.config import (
     ALL_KEYS,
     ConfigError,
@@ -138,6 +140,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as parsed:
             from_pairs({f"run.{field}": str(value)})
         assert str(built.value) == str(replaced.value) == str(parsed.value) == message
+
+    @pytest.mark.parametrize("name, value", [("height", 16), ("width", 48), ("channels", 3)])
+    def test_model_geometry_must_match_data(self, name, value):
+        data = replace(DatasetSpec(), **{name: value})
+        message = f"model.{name} {getattr(ModelConfig(), name)} disagrees with data.{name} {value}"
+        with pytest.raises(ValueError, match=message):
+            RunConfig(data=data)
+        with pytest.raises(ValueError, match=message):
+            replace(RunConfig(), data=data)
+        # from_pairs takes the model's geometry from the data, so they agree
+        cfg = from_pairs({f"data.{name}": str(value)})
+        assert getattr(cfg.model, name) == getattr(cfg.data, name) == value
 
 
 class TestSerialize:

@@ -1,12 +1,16 @@
 """tools/digest.py: one sha256 over a short run of bolf, the same on
 every rerun and different for another seed."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+_SPEC = importlib.util.spec_from_file_location("digest", DIGEST)
+digest_tool = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(digest_tool)
 
 TINY_CFG = """\
 data.train_count = 8
@@ -50,3 +54,34 @@ def test_a_failing_command_prints_no_digest(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert "gen-data" in done.stderr and "exited 2" in done.stderr
+
+
+def _fake_digest(gradcheck_code=4, gradcheck_out="1/2 checks passed\n"):
+    """The digest of a stand-in for bolf.cli.main that writes a one-frame
+    manifest, and the commands it was given."""
+    argvs = []
+
+    def fake_main(argv):
+        argvs.append(argv)
+        if argv[0] == "gen-data":
+            Path("run").mkdir()
+            Path("run/manifest.csv").write_text("path,split\nimages/test/a.pgm,test\n")
+        if argv[0] == "gradcheck":
+            print(gradcheck_out, end="")
+            return gradcheck_code
+        return 0
+
+    return digest_tool.digest(fake_main, []), argvs
+
+
+def test_gradcheck_runs_last_and_its_exit_code_counts(tmp_path, monkeypatch):
+    for name in ("failing", "passing", "other"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "failing")
+    failing, argvs = _fake_digest()
+    assert [argv[0] for argv in argvs] == ["gen-data", "train", "eval", "eval", "eval",
+                                           "rollout", "gradcheck"]
+    monkeypatch.chdir(tmp_path / "passing")
+    assert _fake_digest(gradcheck_code=0)[0] != failing
+    monkeypatch.chdir(tmp_path / "other")
+    assert _fake_digest(gradcheck_out="2/2 checks passed\n")[0] != failing
