@@ -636,8 +636,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray) -> GradCheckReport:
     check passes if the worst one is below GRAD_CHECK_TOL. A non-finite
     error is the worst, so it fails the check.
 
-    Raises NumericError if re-evaluating f at the same point gives a
-    different value (f must be deterministic).
+    Raises NumericError if f is NaN or infinite at x, or if re-evaluating
+    f at the same point gives a different value (f must be deterministic).
     """
     base = np.array(x, dtype=DTYPE, copy=True)
     probe = Tensor(base, requires_grad=True)
@@ -646,6 +646,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray) -> GradCheckReport:
     if not isinstance(y, Tensor) or y.size != 1:
         raise ShapeMismatch("grad_check needs a scalar-valued f")
     y0 = y.item()
+    if not math.isfinite(y0):
+        raise NumericError(f"grad_check: f is not finite at the probe point ({y0})")
     if f(Tensor(base.copy())).item() != y0:
         raise NumericError("grad_check: f is not deterministic (re-evaluation mismatch)")
     backward(y, tape)

@@ -27,10 +27,15 @@ TRAIN_DTYPE = np.float32
 # Frames per eval-mode forward pass in score_samples. Its callers (bolf eval,
 # training validation, bolf train's closing metrics) give a frame the same
 # score, whichever of them asks and whichever pool thread runs its chunk.
-SCORE_CHUNK = 16
+# Full chunks of 16, 32 and 64 frames give the same bits; 32 makes the two
+# scoring threads hand the interpreter lock to each other a third as often
+# as 16 did, and 64 raised bolf eval's peak memory too far.
+SCORE_CHUNK = 32
 
-# Scoring threads at most. Each chunk in flight holds about 4 MB of float64
-# activations, and the machines bolf targets have two cores.
+# Scoring threads at most. One chunk's eval-mode forward through the default
+# model with float64 weights read from a file peaks at 3.27 MiB of arrays
+# (1.67 MiB at 16 frames, by tracemalloc), and the machines bolf targets have
+# two cores.
 SCORE_WORKERS = 2
 
 # glibc's mallopt parameters for the free space kept at the top of the

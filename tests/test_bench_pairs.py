@@ -61,7 +61,7 @@ def test_a_run_without_a_result_object_is_a_fault(monkeypatch, tmp_path, stdout,
         assert result["metrics"] == {}
 
 
-def test_pairs_json_holds_every_run_and_each_metric(monkeypatch, tmp_path):
+def test_pairs_json_holds_every_run_and_each_metric(monkeypatch, tmp_path, capsys):
     bench = {"run_seconds": 20, "workloads": [{"name": "explain"}],
              "end_to_end": [HIGHER, LOWER]}
     machine = {"nproc": 2, "blas": "openblas"}
@@ -78,7 +78,7 @@ def test_pairs_json_holds_every_run_and_each_metric(monkeypatch, tmp_path):
         return {"correct": True, "failed": 0, "machine": machine,
                 "metrics": {"frames_per_s": {"value": frames},
                             "op_ms_p90": {"value": 1000.0 / frames}}}, \
-            {"minflt": 7, "cpu_s": 2.5, "wall_frames_per_s": frames / 2}
+            {"minflt": 7, "cpu_s": 2.5, "ctxsw": 90 + seed, "wall_frames_per_s": frames / 2}
 
     monkeypatch.setattr(bench_pairs, "git", fake_git)
     monkeypatch.setattr(bench_pairs, "export", fake_export)
@@ -86,6 +86,8 @@ def test_pairs_json_holds_every_run_and_each_metric(monkeypatch, tmp_path):
     argv = ["--parent", "p", "--change", "c", "--work", str(tmp_path), "--pairs", "3",
             "--seed", "5", "--seconds", "1"]
     assert bench_pairs.main(argv) == 0
+    # each side's median of the runs' own figures
+    assert "  ctxsw             parent 96  change 96\n" in capsys.readouterr().out
 
     record = json.loads((tmp_path / "pairs.json").read_text())
     assert record.keys() == {"parent", "change", "seconds", "workloads"}
@@ -100,6 +102,7 @@ def test_pairs_json_holds_every_run_and_each_metric(monkeypatch, tmp_path):
         assert all(r["ok"] and r["machine"] == machine for r in runs)
         assert [r["figures"]["frames_per_s"] for r in runs] == [base + 5, base + 6, base + 7]
         assert all(r["figures"]["minflt"] == 7 and r["figures"]["cpu_s"] == 2.5 for r in runs)
+        assert [r["figures"]["ctxsw"] for r in runs] == [95, 96, 97]
         assert [r["figures"]["wall_frames_per_s"] for r in runs] == \
                [(base + 5) / 2, (base + 6) / 2, (base + 7) / 2]
     frames = explain["metrics"]["frames_per_s"]
@@ -126,11 +129,11 @@ def test_a_run_keeps_its_wall_figures_and_cpu_seconds(monkeypatch, tmp_path):
                "yardstick 13.05 ms (nominal 12.0); phase s warm-up 0.4, timed 20.1")
     stdout = ('machine {"nproc": 2}\n' + summary + "\n"
               + json.dumps({"correct": True, "failed": 0, "metrics": {}}) + "\n")
-    usage = iter([(100, 1.0), (350, 4.5)])
+    usage = iter([(100, 1.0, 40), (350, 4.5, 133)])
     monkeypatch.setattr(bench_pairs, "_usage", lambda: next(usage))
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs:
                         subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr=""))
     _, own = bench_pairs.run_once(tmp_path, "eval", 1, 1.0)
-    assert own == {"minflt": 250, "cpu_s": 3.5, "wall_frames_per_s": 3408.2,
+    assert own == {"minflt": 250, "cpu_s": 3.5, "ctxsw": 93, "wall_frames_per_s": 3408.2,
                    "wall_op_ms_p90": 294.1, "yardstick_ms": 13.05}
     assert bench_pairs.wall_figures(["explain: 2 timed rounds"]) == {}

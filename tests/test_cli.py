@@ -330,8 +330,9 @@ class TestRollout:
         assert 0.0 <= float(score_line.split()[1]) <= 1.0
 
     def test_fake_score_agrees_with_score_samples(self, ws, capsys):
-        # rollout scores a batch of one, score_samples 16-frame chunks: the
-        # two need not share every bit, but they agree far below 1e-12
+        # rollout scores a batch of one, score_samples chunks of SCORE_CHUNK
+        # frames: the two need not share every bit, but they agree far below
+        # 1e-12
         weights = ws["out"] / "weights.bolf"
         test = load_manifest(ws["out"] / "manifest.csv", ("test",)).test
         params = ModelParams.from_arrays(CFG_MODEL, load_weights(weights),

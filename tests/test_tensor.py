@@ -840,10 +840,24 @@ class TestGradCheck:
         assert math.isnan(report.worst_rel)
 
     def test_detects_infinite_loss(self):
-        # the loss is inf at every probe point, so its central differences
-        # are NaN
+        # the loss is inf at the probe point: there is no gradient to check
         weight = np.full((2, 3), np.inf)
-        report = grad_check(lambda x: sum_all(mul(x, weight)), np.ones((2, 3)))
+        with pytest.raises(NumericError, match="not finite at the probe point"):
+            grad_check(lambda x: sum_all(mul(x, weight)), np.ones((2, 3)))
+
+    def test_names_a_nan_loss_rather_than_a_non_deterministic_f(self):
+        # nan != nan, so a NaN loss used to fail the re-evaluation check
+        weight = np.full((2, 3), np.nan)
+        with pytest.raises(NumericError, match=r"not finite at the probe point \(nan\)"):
+            grad_check(lambda x: sum_all(mul(x, weight)), np.ones((2, 3)))
+
+    def test_a_loss_that_is_finite_only_at_the_probe_point_fails(self):
+        # f is finite at x but infinite one step away on every coordinate:
+        # the central differences are not finite, so the check fails
+        def cliff(x):
+            return sum_all(mul(x, Tensor(np.where(x.data == 1.0, 1.0, np.inf))))
+
+        report = grad_check(cliff, np.ones((2, 3)))
         assert report.n_checked == 6
         assert not report.passed
         assert math.isnan(report.worst_rel)

@@ -8,6 +8,7 @@ core, in test_tensor.py.
 
 import ctypes
 import importlib
+import itertools
 import math
 import os
 import platform
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bolf.data import DatasetSpec, gen_original
+from bolf.data import DatasetSpec, build_split, gen_original
 from bolf.model import ModelConfig, ModelParams, forward, init_params
 from bolf.tensor import NumericError, Tape, Tensor, backward, mul, sum_all
 from bolf.train import (
@@ -187,6 +188,13 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
+def _three_chunks_of_samples(splits) -> list:
+    """2 * SCORE_CHUNK + 5 samples, drawn from every split in turn: two
+    full chunks and a partial one."""
+    pool = splits.train + splits.val + splits.test
+    return list(itertools.islice(itertools.cycle(pool), 2 * SCORE_CHUNK + 5))
+
+
 def _serial_scores(params, config, stack) -> list[float]:
     """The stack's scores from one forward per chunk, on this thread."""
     chunks = [fake_score(forward(stack[i:i + SCORE_CHUNK], params, config)[0].data)
@@ -213,9 +221,8 @@ class TestScoring:
             assert 0.0 <= s.score <= 1.0
 
     def test_stack_scores_as_samples_carrying_its_pixels(self, tiny_splits, tiny_model_cfg):
-        # 37 frames: two full SCORE_CHUNKs and a partial one
-        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
-        stack = np.random.default_rng(3).random((37, 16, 16, 1))
+        samples = _three_chunks_of_samples(tiny_splits)
+        stack = np.random.default_rng(3).random((len(samples), 16, 16, 1))
         params = init_params(tiny_model_cfg, seed=0)
         carried = [replace(s, pixels=p) for s, p in zip(samples, stack)]
         want = score_samples(params, carried, tiny_model_cfg)
@@ -223,14 +230,14 @@ class TestScoring:
         # the default stack is the samples' own pixels, scored chunk by chunk
         chunks = [fake_score(forward(np.stack([s.pixels for s in carried[i:i + SCORE_CHUNK]]),
                                      params, tiny_model_cfg)[0].data)
-                  for i in range(0, 37, SCORE_CHUNK)]
+                  for i in range(0, len(samples), SCORE_CHUNK)]
         assert [s.score for s in want] == [float(p) for p in np.concatenate(chunks)]
 
     def test_pool_scores_more_chunks_than_workers_as_serial_forwards(
             self, tiny_splits, tiny_model_cfg, monkeypatch):
-        # 37 frames: three chunks on at most two threads, scored in order
-        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
-        stack = np.random.default_rng(4).random((37, 16, 16, 1))
+        # three chunks on at most two threads, scored in order
+        samples = _three_chunks_of_samples(tiny_splits)
+        stack = np.random.default_rng(4).random((len(samples), 16, 16, 1))
         params = init_params(tiny_model_cfg, seed=0)
         threads = _threads_of_forward(monkeypatch)
         scored = score_samples(params, samples, tiny_model_cfg, stack)
@@ -243,8 +250,8 @@ class TestScoring:
 
     def test_numeric_error_in_one_chunk_comes_out(self, tiny_splits, tiny_model_cfg,
                                                   monkeypatch):
-        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
-        stack = np.random.default_rng(5).random((37, 16, 16, 1))
+        samples = _three_chunks_of_samples(tiny_splits)
+        stack = np.random.default_rng(5).random((len(samples), 16, 16, 1))
         _threads_of_forward(monkeypatch, fail_at=stack[SCORE_CHUNK])
         with pytest.raises(NumericError, match="layer_norm"):
             score_samples(init_params(tiny_model_cfg, seed=0), samples, tiny_model_cfg, stack)
@@ -260,8 +267,8 @@ class TestScoring:
 
     def test_without_a_pinned_blas_one_thread_scores_the_same(
             self, tiny_splits, tiny_model_cfg, fresh_pool, monkeypatch):
-        samples = ((tiny_splits.train + tiny_splits.val + tiny_splits.test) * 3)[:37]
-        stack = np.random.default_rng(6).random((37, 16, 16, 1))
+        samples = _three_chunks_of_samples(tiny_splits)
+        stack = np.random.default_rng(6).random((len(samples), 16, 16, 1))
         params = init_params(tiny_model_cfg, seed=0)
         monkeypatch.setattr(train_module, "BLAS_PINNED", False)
         threads = _threads_of_forward(monkeypatch)
@@ -269,6 +276,21 @@ class TestScoring:
         assert [s.score for s in scored] == _serial_scores(params, tiny_model_cfg, stack)
         assert train_module._score_pool()._max_workers == 1
         assert len(threads) == 3 and len(set(threads)) == 1
+
+    def test_default_model_scores_keep_their_bits_at_16_and_32_frame_chunks(
+            self, monkeypatch):
+        # bolf eval's report.csv and bolf train's closing line hold these
+        # scores, so a change of chunk size must not move them
+        cfg = ModelConfig()
+        params = init_params(cfg, seed=0)
+        assert all(t.data.dtype == np.float64 for _, t in params.named())
+        samples = build_split(DatasetSpec(test_count=64), "test")
+        scores = {}
+        for chunk in (16, 32):
+            monkeypatch.setattr(train_module, "SCORE_CHUNK", chunk)
+            scores[chunk] = [s.score for s in score_samples(params, samples, cfg)]
+        assert len(scores[16]) == 64
+        assert scores[16] == scores[32]
 
     def test_score_samples_of_no_samples(self, tiny_model_cfg):
         params = init_params(tiny_model_cfg, seed=0)

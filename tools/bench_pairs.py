@@ -15,12 +15,14 @@ and Q1-Q3, the change's median, the relative change, in how many pairs the
 change was better (ties count for neither) and a verdict: "gain", "worse"
 (beyond the metric's bound) or "unresolved" (see ``compare``). Each
 run's own figures are printed with its metrics, and each side's median
-with the summary: the child's minor page faults (``ru_minflt``) and CPU
-seconds (user plus system), and, from perfbench's summary line, the
+with the summary: the child's minor page faults (``ru_minflt``), CPU
+seconds (user plus system) and context switches (``ru_nvcsw`` plus
+``ru_nivcsw``), and, from perfbench's summary line, the
 unscaled wall-time ``frames_per_s`` and ``op_ms_p90`` and the yardstick's
 median time. A change that puts a second core to work shows in the CPU
 seconds, and one that slows or speeds the yardstick shows in the wall-time
-figures, which it does not scale.
+figures, which it does not scale. Threads that wait on each other, as
+for the interpreter lock, show in the context switches.
 
 The same figures go to DIR/pairs.json: both revisions, the run length,
 and per workload the seeds, every run's figures with the ``machine``
@@ -54,7 +56,8 @@ WALL_LINE = re.compile(r"in wall time: setup_s [\d.]+, "
 
 # the figures of a run that run_once takes besides its metrics, in the
 # order the summary prints their medians
-OWN_FIGURES = ("minflt", "cpu_s", "wall_frames_per_s", "wall_op_ms_p90", "yardstick_ms")
+OWN_FIGURES = ("minflt", "cpu_s", "ctxsw", "wall_frames_per_s", "wall_op_ms_p90",
+               "yardstick_ms")
 
 
 def git(*args: str) -> str:
@@ -79,26 +82,29 @@ def wall_figures(lines: list[str]) -> dict[str, float]:
     return {k: float(v) for k, v in match.groupdict().items()} if match else {}
 
 
-def _usage() -> tuple[int, float]:
-    """Minor page faults and CPU seconds of the waited-for children so far."""
+def _usage() -> tuple[int, float, int]:
+    """Minor page faults, CPU seconds and context switches (voluntary and
+    involuntary) of the waited-for children so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_minflt, usage.ru_utime + usage.ru_stime
+    return (usage.ru_minflt, usage.ru_utime + usage.ru_stime,
+            usage.ru_nvcsw + usage.ru_nivcsw)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """perfbench/run.py's result object (its last line of output), with the
     record of its ``machine`` line under "machine", and the run's own
-    figures: the minor page faults and CPU seconds it took, and its
-    ``wall_figures``. A run that fails, or whose last line is not a result
+    figures: the minor page faults, CPU seconds and context switches it
+    took, and its ``wall_figures``. A run that fails, or whose last line is not a result
     object, gives a result that is not correct and has no metrics."""
-    minflt, cpu_s = _usage()
+    before = _usage()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     after = _usage()
     lines = done.stdout.strip().splitlines()
-    own = {"minflt": after[0] - minflt, "cpu_s": after[1] - cpu_s} | wall_figures(lines)
+    own = {name: a - b for name, a, b in zip(("minflt", "cpu_s", "ctxsw"), after, before)}
+    own |= wall_figures(lines)
     try:
         result = json.loads(lines[-1]) if lines and not done.returncode else None
     except json.JSONDecodeError:
