@@ -27,9 +27,9 @@ TRAIN_DTYPE = np.float32
 # Frames per eval-mode forward pass in score_samples. Its callers (bolf eval,
 # training validation, bolf train's closing metrics) give a frame the same
 # score, whichever of them asks and whichever pool thread runs its chunk.
-# Full chunks of 16, 32 and 64 frames give the same bits; 32 makes the two
-# scoring threads hand the interpreter lock to each other a third as often
-# as 16 did, and 64 raised bolf eval's peak memory too far.
+# Full chunks of 16, 32 and 64 frames give the same bits. 32 frames take half
+# the forwards of 16, so the two scoring threads hand the interpreter lock to
+# each other less often; 64 raised bolf eval's peak memory too far.
 SCORE_CHUNK = 32
 
 # Scoring threads at most. One chunk's eval-mode forward through the default

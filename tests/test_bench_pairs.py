@@ -129,7 +129,8 @@ def test_a_run_keeps_its_wall_figures_and_cpu_seconds(monkeypatch, tmp_path):
                "yardstick 13.05 ms (nominal 12.0); phase s warm-up 0.4, timed 20.1")
     stdout = ('machine {"nproc": 2}\n' + summary + "\n"
               + json.dumps({"correct": True, "failed": 0, "metrics": {}}) + "\n")
-    usage = iter([(100, 1.0, 40), (350, 4.5, 133)])
+    usage = iter([{"minflt": 100, "cpu_s": 1.0, "ctxsw": 40},
+                  {"minflt": 350, "cpu_s": 4.5, "ctxsw": 133}])
     monkeypatch.setattr(bench_pairs, "_usage", lambda: next(usage))
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs:
                         subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr=""))

@@ -82,20 +82,21 @@ def wall_figures(lines: list[str]) -> dict[str, float]:
     return {k: float(v) for k, v in match.groupdict().items()} if match else {}
 
 
-def _usage() -> tuple[int, float, int]:
+def _usage() -> dict[str, float]:
     """Minor page faults, CPU seconds and context switches (voluntary and
     involuntary) of the waited-for children so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return (usage.ru_minflt, usage.ru_utime + usage.ru_stime,
-            usage.ru_nvcsw + usage.ru_nivcsw)
+    return {"minflt": usage.ru_minflt, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "ctxsw": usage.ru_nvcsw + usage.ru_nivcsw}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """perfbench/run.py's result object (its last line of output), with the
     record of its ``machine`` line under "machine", and the run's own
     figures: the minor page faults, CPU seconds and context switches it
-    took, and its ``wall_figures``. A run that fails, or whose last line is not a result
-    object, gives a result that is not correct and has no metrics."""
+    took, and its ``wall_figures``. A run that fails, or whose last line is
+    not a result object, gives a result that is not correct and has no
+    metrics."""
     before = _usage()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -103,8 +104,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
         cwd=tree, capture_output=True, text=True)
     after = _usage()
     lines = done.stdout.strip().splitlines()
-    own = {name: a - b for name, a, b in zip(("minflt", "cpu_s", "ctxsw"), after, before)}
-    own |= wall_figures(lines)
+    own = {name: after[name] - value for name, value in before.items()} | wall_figures(lines)
     try:
         result = json.loads(lines[-1]) if lines and not done.returncode else None
     except json.JSONDecodeError:
