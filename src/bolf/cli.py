@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 from collections.abc import Iterator
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +55,6 @@ EXIT_NUMERIC = 4
 REPORT_COLUMNS = ("protocol", "split", "family", "perturbation", "level",
                   "acc", "auc_frame", "auc_video", "n")
 HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
-
-
-def _write_csv(path: Path, columns, rows) -> None:
-    # csv writes a float as its repr, which round-trips exactly
-    write_csv(path, [columns, *([row[col] for col in columns] for row in rows)])
 
 
 # The last model _load_params built: (model config, the weights file's
@@ -115,8 +110,9 @@ def cmd_train(cfg: RunConfig) -> int:
     # the trained tensors hold the optimizer's parameter and gradient
     # buffers; the closing metrics below come from the weights file
     del params
-    _write_csv(Path(cfg.out_dir) / "history.csv", HISTORY_COLUMNS,
-               [vars(stats) for stats in history])
+    # csv writes a float as its repr, which round-trips exactly
+    write_csv(Path(cfg.out_dir) / "history.csv",
+              [HISTORY_COLUMNS, *map(astuple, history)])
 
     for stats in history:
         print(f"epoch {stats.epoch:3d}  loss {stats.mean_loss:.4f}  "
@@ -182,19 +178,17 @@ def _scored_rows(cfg: RunConfig, params: ModelParams
 
 def cmd_eval(cfg: RunConfig) -> int:
     params = _load_params(cfg)
-    rows = [{"protocol": cfg.protocol, "split": split, "family": family,
-             "perturbation": perturbation, "level": level,
-             "acc": accuracy(scored, cfg.threshold), "auc_frame": roc_auc(scored),
-             "auc_video": roc_auc(video_level(scored)), "n": len(scored)}
+    # each row in REPORT_COLUMNS order
+    rows = [(cfg.protocol, split, family, perturbation, level,
+             accuracy(scored, cfg.threshold), roc_auc(scored),
+             roc_auc(video_level(scored)), len(scored))
             for split, family, perturbation, level, scored in _scored_rows(cfg, params)]
 
     report_path = Path(cfg.out_dir) / "report.csv"
-    _write_csv(report_path, REPORT_COLUMNS, rows)
-    for row in rows:
-        print(f"{row['protocol']}/{row['split']} {row['family']} "
-              f"{row['perturbation']}@{row['level']}: acc {row['acc']:.4f} "
-              f"auc_frame {row['auc_frame']:.4f} auc_video {row['auc_video']:.4f} "
-              f"n={row['n']}")
+    write_csv(report_path, [REPORT_COLUMNS, *rows])
+    for protocol, split, family, perturbation, level, acc, auc_frame, auc_video, n in rows:
+        print(f"{protocol}/{split} {family} {perturbation}@{level}: acc {acc:.4f} "
+              f"auc_frame {auc_frame:.4f} auc_video {auc_video:.4f} n={n}")
     print(f"wrote {report_path}")
     return EXIT_OK
 

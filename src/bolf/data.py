@@ -31,7 +31,7 @@ import io
 import os
 import re
 import zlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -272,41 +272,47 @@ class _TamperPlan:
     """Everything one fake video's manipulation draws; no draw depends on
     pixels. Arrays are read-only and broadcast over channels."""
 
-    kind: str  # one of _TAMPER_STYLES
+    restyle: Callable[[np.ndarray], np.ndarray]  # a frame's pixels -> its style's content
     mask: np.ndarray  # (H, W) bool
     alpha: np.ndarray  # (H, W, 1) feather
     keep: np.ndarray  # 1 - alpha
-    roll: tuple[int, int]  # warp, patch_blend
-    tex: np.ndarray | None  # texture_sub, (H, W, 1)
-    contrast: float  # color_shift
-    shift: float  # color_shift
     grain_term: np.ndarray  # residue: (alpha * grain) * lattice
     tilt_term: np.ndarray  # residue: alpha * tilt
 
 
 @functools.lru_cache(maxsize=1)
-def _tamper_plan(spec: DatasetSpec, video_id: str, h: int, w: int) -> _TamperPlan:
-    """Draw the manipulation of the source video ``video_id`` once.
+def _tamper_plan(spec: DatasetSpec, video_id: str) -> _TamperPlan:
+    """Draw the manipulation of the source video ``video_id`` once: each
+    style's branch draws its values and defines its per-frame content.
 
     Memoized for the last video asked for, like :func:`_video_base`.
     """
     style = FAMILIES[spec.family]
+    h, w = spec.height, spec.width
     rng = _rng(spec.seed, "tamper", video_id)
 
-    mask, feather = _tamper_region(rng, h, w)
-    alpha = _frozen(feather)[:, :, None]
+    mask, feather = map(_frozen, _tamper_region(rng, h, w))
+    alpha = feather[:, :, None]
     kind = _TAMPER_STYLES[rng.choice(len(_TAMPER_STYLES), p=style.tamper_mix)]
     amp = style.tamper_amp
-    roll, tex, contrast, shift = (0, 0), None, 1.0, 0.0
-    if kind in ("warp", "patch_blend"):
+    if kind in ("warp", "patch_blend"):  # content moved from elsewhere in the image
         lo, hi = (4, 8) if kind == "warp" else (h // 4, h // 2)
-        dy, dx = rng.choice((-1, 1), size=2) * rng.integers(lo, hi, size=2)
-        roll = (int(dy), int(dx))
+        roll = rng.choice((-1, 1), size=2) * rng.integers(lo, hi, size=2)  # (dy, dx)
+
+        def restyle(src):
+            return np.roll(src, roll, axis=(0, 1))
     elif kind == "texture_sub":
         tex = _frozen(rng.standard_normal((h, w)) * 0.18 * amp)[:, :, None]
+
+        def restyle(src):
+            return gaussian_filter(src, sigma=(1.2, 1.2, 0)) + tex
     else:  # color_shift
         contrast = rng.uniform(1.4, 1.8) if rng.random() < 0.5 else rng.uniform(0.35, 0.6)
         shift = rng.choice((-1.0, 1.0)) * rng.uniform(0.09, 0.15) * amp
+
+        def restyle(src):
+            region_mean = src[mask].mean(axis=0)
+            return region_mean + contrast * (src - region_mean) + shift
 
     # Every style leaves the residue real pipelines do: a blending lattice
     # plus a low-frequency color mismatch, both confined to the mask. The
@@ -316,8 +322,7 @@ def _tamper_plan(spec: DatasetSpec, video_id: str, h: int, w: int) -> _TamperPla
     # signature stays detectable where single-pixel grain would vanish.
     grain = rng.uniform(0.16, 0.24) * amp
     tilt = rng.uniform(0.12, 0.18) * amp
-    return _TamperPlan(kind=kind, mask=_frozen(mask), alpha=alpha, keep=_frozen(1.0 - alpha),
-                       roll=roll, tex=tex, contrast=contrast, shift=shift,
+    return _TamperPlan(restyle=restyle, mask=mask, alpha=alpha, keep=_frozen(1.0 - alpha),
                        grain_term=_frozen((alpha * grain) * _lattice(h, w)[:, :, None]),
                        tilt_term=_frozen(alpha * tilt))
 
@@ -333,19 +338,9 @@ def gen_manipulated(original: ImageSample, spec: DatasetSpec) -> ImageSample:
     """
     if original.label != 0:
         raise ValueError("gen_manipulated needs an original (label 0) sample")
-    h, w, _ = original.pixels.shape
-    plan = _tamper_plan(spec, original.video_id, h, w)
+    plan = _tamper_plan(spec, original.video_id)
     src = original.pixels
-
-    if plan.kind == "texture_sub":
-        smooth = gaussian_filter(src, sigma=(1.2, 1.2, 0))
-        tampered = smooth + plan.tex
-    elif plan.kind == "color_shift":
-        region_mean = src[plan.mask].mean(axis=0)
-        tampered = region_mean + plan.contrast * (src - region_mean) + plan.shift
-    else:  # warp, patch_blend: content moved from elsewhere in the image
-        tampered = np.roll(src, plan.roll, axis=(0, 1))
-    out = plan.alpha * tampered + plan.keep * src
+    out = plan.alpha * plan.restyle(src) + plan.keep * src
     out = out + plan.grain_term + plan.tilt_term
 
     out = np.clip(out, 0.0, 1.0)
@@ -440,15 +435,9 @@ def perturb(pixels: np.ndarray, spec: PerturbationSpec | Sequence[PerturbationSp
     if not len(specs) == len(seeds) == len(stack):
         raise ValueError(f"{len(stack)} frames need as many specs and seeds, "
                          f"got {len(specs)} and {len(seeds)}")
-    rngs: list[np.random.Generator | None] = [None] * len(stack)
-
-    def rng(i: int) -> np.random.Generator:
-        """Frame i's generator, built on its first draw: blur and quantize
-        at a fixed level never draw."""
-        if rngs[i] is None:
-            rngs[i] = _rng(seeds[i], "perturb")
-        return rngs[i]
-
+    # frame i's generator, built on its first draw: blur and quantize at a
+    # fixed level never draw
+    rng = functools.cache(lambda i: _rng(seeds[i], "perturb"))
     kinds = [[PERTURBATION_KINDS[k] for k in
               rng(i).choice(len(PERTURBATION_KINDS), size=s.mix_count, replace=False)]
              if s.mix_count > 1 else [s.kind] for i, s in enumerate(specs)]

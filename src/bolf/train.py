@@ -264,8 +264,8 @@ def _shuffled_order(samples, rng: np.random.Generator) -> np.ndarray:
     batch exactly label-balanced AND content-matched, so the shared image
     content cancels inside the batch gradient and what remains is the
     tamper signal. Pairs are shuffled, and the within-pair order is
-    random. Sets without the pair structure fall back to label-stratified
-    interleaving, then to a plain permutation.
+    random. A set in which any sample lacks its partner gets a plain
+    permutation.
     """
     by_frame = {(s.video_id, s.frame_idx): i
                 for i, s in enumerate(samples) if s.label == 0}
@@ -279,13 +279,7 @@ def _shuffled_order(samples, rng: np.random.Generator) -> np.ndarray:
                 matched.add(j)
                 matched.add(i)
     if len(matched) != len(samples):
-        idx0 = np.flatnonzero([s.label == 0 for s in samples])
-        idx1 = np.flatnonzero([s.label == 1 for s in samples])
-        if len(idx0) != len(idx1):
-            return rng.permutation(len(samples))
-        rng.shuffle(idx0)
-        rng.shuffle(idx1)
-        pairs = list(zip(idx0, idx1))
+        return rng.permutation(len(samples))
     arr = np.array(pairs)
     rng.shuffle(arr)
     flips = rng.random(len(arr)) < 0.5

@@ -334,14 +334,24 @@ class TestShuffledOrder:
         b = _shuffled_order(samples, np.random.default_rng(2))
         assert not np.array_equal(a, b)
 
-    def test_unpaired_balanced_set_interleaves_labels(self):
+    def test_paired_set_order_is_pinned(self, tiny_splits):
+        # the paired path's draws: pair shuffle, then within-pair flips
+        order = _shuffled_order(tiny_splits.train, np.random.default_rng(0))
+        assert order.tolist() == [5, 4, 1, 0, 2, 3, 6, 7]
+
+    def test_paired_set_less_one_fake_is_plain_permutation(self, tiny_splits):
+        for drop in (1, 7):
+            samples = tiny_splits.train[:drop] + tiny_splits.train[drop + 1:]
+            assert tiny_splits.train[drop].label == 1
+            order = _shuffled_order(samples, np.random.default_rng(0))
+            assert np.array_equal(order, np.random.default_rng(0).permutation(len(samples)))
+
+    def test_unpaired_balanced_set_is_plain_permutation(self):
         from bolf.data import ImageSample
         img = np.zeros((2, 2, 1))
         samples = [ImageSample(img, i % 2, f"v{i}", 0) for i in range(10)]
         order = _shuffled_order(samples, np.random.default_rng(3))
-        for i in range(0, 10, 2):
-            labels = {samples[order[i]].label, samples[order[i + 1]].label}
-            assert labels == {0, 1}
+        assert np.array_equal(order, np.random.default_rng(3).permutation(10))
 
     def test_unbalanced_set_is_plain_permutation(self):
         from bolf.data import ImageSample

@@ -16,7 +16,7 @@ import pytest
 import bolf.cli as cli
 from bolf import data
 from bolf.cli import EXIT_OK, main
-from bolf.data import FormatError, read_ppm, write_dataset, write_file, write_ppm
+from bolf.data import FormatError, read_ppm, write_csv, write_dataset, write_file, write_ppm
 from bolf.weights import WeightsError, load_weights, save_weights
 
 NEW = b"new bytes\n"
@@ -130,9 +130,7 @@ def _weights(seed):
 
 
 def _csv_rows(n):
-    return [{"protocol": "in_dist", "split": "test", "family": "A",
-             "perturbation": "none", "level": i, "acc": 0.5 + i, "auc_frame": 0.25,
-             "auc_video": 1.0, "n": 4} for i in range(n)]
+    return [("in_dist", "test", "A", "none", i, 0.5 + i, 0.25, 1.0, 4) for i in range(n)]
 
 
 # Each artifact writer, as (write its first or second payload into a file,
@@ -140,8 +138,8 @@ def _csv_rows(n):
 WRITERS = {
     "write_ppm": (lambda path, k: write_ppm(path, _pixels(k)), read_ppm),
     "save_weights": (lambda path, k: save_weights(path, _weights(k)), load_weights),
-    "cli._write_csv": (lambda path, k: cli._write_csv(path, cli.REPORT_COLUMNS,
-                                                      _csv_rows(8 if k else 1)), None),
+    "write_csv": (lambda path, k: write_csv(path, [cli.REPORT_COLUMNS,
+                                                   *_csv_rows(8 if k else 1)]), None),
 }
 
 
@@ -187,7 +185,7 @@ def test_manifest_rewrite_in_place(tiny_splits, tmp_path):
 
 def test_csv_is_utf8(tmp_path):
     path = tmp_path / "report.csv"
-    cli._write_csv(path, ("family", "n"), [{"family": "Ä-fälschung ✓", "n": 1}])
+    write_csv(path, [("family", "n"), ("Ä-fälschung ✓", 1)])
     assert path.read_bytes() == "family,n\nÄ-fälschung ✓,1\n".encode("utf-8")
 
 
